@@ -366,8 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, ParseError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (KnockonError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (KnockonError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

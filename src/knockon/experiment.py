@@ -29,6 +29,7 @@ from .netgen import (
     HOMOGENEOUS,
     RngStream,
     Topology,
+    check_preferential_attachment,
     gen_erdos_renyi,
     gen_preferential_attachment,
     read_edge_list,
@@ -77,6 +78,8 @@ class ScenarioConfig:
             raise InvalidParameterError("topology_path is required when topology = external")
         if not 0.0 <= self.density <= 1.0:
             raise InvalidParameterError(f"p must lie in [0, 1], got {self.density}")
+        if self.topology_kind == HETEROGENEOUS:
+            check_preferential_attachment(self.n_banks, self.density)
         if not 0.0 < self.loan_fraction < 0.5:
             raise InvalidParameterError(
                 f"Q must lie in (0, 0.5), got {self.loan_fraction}"

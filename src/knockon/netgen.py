@@ -42,6 +42,14 @@ _ATTRACTIVENESS = 4.0
 _ATTACH_FLOOR = 1e-9
 _REDRAW_LIMIT = 512
 
+# Uniforms are drawn at most this many at a time, which bounds the
+# homogeneous generator's memory whatever n(n-1) is. Consecutive
+# ``gen.random(k)`` calls yield the same doubles as one call, so no result
+# depends on it.
+_CHUNK = 1 << 16
+# How far the preferential-attachment generator draws ahead of its needs.
+_BLOCK = 4096
+
 # Probability that a credit relation created during growth runs from the
 # incumbent to the newcomer (the newcomer borrows). Most small banks enter
 # the market as borrowers from established lenders; the bias keeps borrower
@@ -165,6 +173,12 @@ def gen_erdos_renyi(
 ) -> Topology:
     """Sample a homogeneous topology: every ordered pair independently.
 
+    The ordered pairs are visited in row-major order (creditor, then debtor
+    skipping the creditor itself), one uniform each, drawn in chunks of
+    ``_CHUNK``. That draw order is part of the reproducibility contract: it
+    fixes the topology a seed yields and the point at which the generator
+    is left for later draws.
+
     Args:
         n_banks: number of banks, at least 2.
         density: inclusion probability for each of the n(n-1) ordered pairs.
@@ -180,11 +194,82 @@ def gen_erdos_renyi(
         raise InvalidParameterError(f"density must lie in [0, 1], got {density}")
     gen = _as_generator(rng)
     total = n * (n - 1)
-    flat = np.flatnonzero(gen.random(total) < density)
+    flat = np.concatenate([
+        np.flatnonzero(gen.random(min(_CHUNK, total - start)) < density) + start
+        for start in range(0, total, _CHUNK)
+    ])
     creditor = flat // (n - 1)
     offset = flat % (n - 1)
     debtor = offset + (offset >= creditor)
     return Topology(n, np.column_stack([creditor, debtor]), HOMOGENEOUS)
+
+
+def check_preferential_attachment(n_banks: int, density: float) -> None:
+    """Raise InvalidParameterError unless :func:`gen_preferential_attachment`
+    can realise ``density`` on ``n_banks`` banks."""
+    n = int(n_banks)
+    if n < 3:
+        raise InvalidParameterError(f"n_banks must be at least 3, got {n_banks}")
+    if not 0.0 < density <= 1.0:
+        raise InvalidParameterError(f"density must lie in (0, 1], got {density}")
+    if density * (n - 1) / 2.0 < 0.5:
+        raise InvalidParameterError(
+            f"density {density} is infeasible at n={n}: mean attachment "
+            f"{density * (n - 1) / 2.0:.3f} is below 0.5"
+        )
+
+
+class _UniformBlocks:
+    """The scalar uniforms of a Generator, drawn ahead in blocks.
+
+    ``gen.random(k)`` yields the same doubles as ``k`` calls of
+    ``gen.random()``, so serving draws from a block keeps the stream.
+    :meth:`sync` hands back the read-ahead: it leaves ``gen`` exactly past
+    the draws consumed so far, by restoring the state saved before the first
+    block and drawing the consumed count again. That keeps any buffered
+    32-bit half-word in the bit generator as it was, which
+    ``bit_generator.advance`` would discard.
+    """
+
+    def __init__(self, gen: np.random.Generator):
+        self.gen = gen
+        self._reset()
+
+    def _reset(self) -> None:
+        self._saved: dict | None = None
+        self._drawn = 0
+        self._block = np.empty(0)
+        self._list: list[float] = []
+        self._pos = 0
+
+    def _fill(self, k: int) -> None:
+        if self._saved is None:
+            self._saved = self.gen.bit_generator.state
+        fresh = self.gen.random(max(k, _BLOCK))
+        self._drawn += fresh.size
+        self._block = np.concatenate((self._block[self._pos:], fresh))
+        self._list = self._block.tolist()
+        self._pos = 0
+
+    def scalar(self) -> float:
+        if self._pos == len(self._list):
+            self._fill(1)
+        self._pos += 1
+        return self._list[self._pos - 1]
+
+    def vector(self, k: int) -> np.ndarray:
+        if self._pos + k > len(self._list):
+            self._fill(k)
+        self._pos += k
+        return self._block[self._pos - k : self._pos]
+
+    def sync(self) -> None:
+        if self._saved is not None:
+            consumed = self._drawn - (len(self._list) - self._pos)
+            self.gen.bit_generator.state = self._saved
+            for start in range(0, consumed, _CHUNK):
+                self.gen.random(min(_CHUNK, consumed - start))
+        self._reset()
 
 
 def gen_preferential_attachment(
@@ -204,6 +289,14 @@ def gen_preferential_attachment(
     log-log axes at large scales; a few old banks lend to a large share of
     the market.
 
+    The draw order is part of the reproducibility contract: per arrival one
+    uniform for its link count, then one per candidate target until enough
+    distinct ones are found (a ``gen.choice`` fills in after
+    ``_REDRAW_LIMIT`` repeats); then per relationship one uniform for its
+    direction, or two when it may be reciprocal. Uniforms are drawn ahead in
+    blocks, but the generator is left just past the ones used, as if each
+    had been drawn alone.
+
     Args:
         n_banks: number of banks, at least 3.
         density: target edge density of the directed graph, in (0, 1]. The
@@ -214,16 +307,8 @@ def gen_preferential_attachment(
     Returns:
         A Topology of kind "heterogeneous".
     """
+    check_preferential_attachment(n_banks, density)
     n = int(n_banks)
-    if n < 3:
-        raise InvalidParameterError(f"n_banks must be at least 3, got {n_banks}")
-    if not 0.0 < density <= 1.0:
-        raise InvalidParameterError(f"density must lie in (0, 1], got {density}")
-    if density * (n - 1) / 2.0 < 0.5:
-        raise InvalidParameterError(
-            f"density {density} is infeasible at n={n}: mean attachment "
-            f"{density * (n - 1) / 2.0:.3f} is below 0.5"
-        )
     gen = _as_generator(rng)
 
     directed_target = density * n * (n - 1)
@@ -239,37 +324,42 @@ def gen_preferential_attachment(
     mean_per_arrival = budget / arrivals if arrivals else 0.0
     shift = _ATTRACTIVENESS - mean_per_arrival
 
-    degree = np.zeros(n, dtype=np.int64)
-    degree[:seed_size] = seed_size - 1
+    degree = [seed_size - 1] * seed_size + [0] * arrivals
     attach_w = np.full(n, _ATTACH_FLOOR)
-    attach_w[:seed_size] = np.maximum(degree[:seed_size] + shift, _ATTACH_FLOOR)
+    attach_w[:seed_size] = max(seed_size - 1 + shift, _ATTACH_FLOOR)
 
     links: list[tuple[int, int]] = [
         (a, b) for a in range(seed_size) for b in range(a + 1, seed_size)
     ]
 
+    draws = _UniformBlocks(gen)
     for v in range(seed_size, n):
-        remaining = n - v
-        m_mean = max(budget, 0.0) / remaining
+        m_mean = max(budget, 0.0) / (n - v)
         m_lo = math.floor(m_mean)
-        frac = m_mean - m_lo
-        m = m_lo + (1 if gen.random() < frac else 0)
+        m = m_lo + (1 if draws.scalar() < m_mean - m_lo else 0)
         m = min(m, v)
         if m > 0:
-            cum = np.cumsum(attach_w[:v])
+            cum = attach_w[:v].cumsum()
             total_w = float(cum[-1])
+            # Searching all but the last partial sum puts a draw that rounds
+            # up to total_w on the last incumbent, v - 1.
+            head = cum[:-1]
             chosen: set[int] = set()
             attempts = 0
             while len(chosen) < m and attempts < _REDRAW_LIMIT:
-                target = int(np.searchsorted(cum, gen.random() * total_w, side="right"))
-                target = min(target, v - 1)
-                if target in chosen:
-                    attempts += 1
-                    continue
-                chosen.add(target)
+                # Neither bound can be reached before the k-th draw, so a
+                # one-at-a-time loop would have made all k of them.
+                k = min(m - len(chosen), _REDRAW_LIMIT - attempts)
+                targets = head.searchsorted(draws.vector(k) * total_w, side="right")
+                for target in targets.tolist():
+                    if target in chosen:
+                        attempts += 1
+                    else:
+                        chosen.add(target)
             if len(chosen) < m:
                 # Redraw limit hit under an extremely dominant hub: fill the
                 # remainder by an explicit weighted draw without replacement.
+                draws.sync()
                 probs = attach_w[:v].copy()
                 probs[list(chosen)] = 0.0
                 probs /= probs.sum()
@@ -278,24 +368,28 @@ def gen_preferential_attachment(
             for target in sorted(chosen):
                 links.append((target, v))
                 degree[target] += 1
-            degree[v] = m
-            for target in chosen:
                 attach_w[target] = max(degree[target] + shift, _ATTACH_FLOOR)
+            degree[v] = m
         attach_w[v] = max(degree[v] + shift, _ATTACH_FLOOR)
         budget -= m
 
-    edges: list[tuple[int, int]] = []
-    for incumbent, newcomer in links:
-        if reciprocal > 0.0 and gen.random() < reciprocal:
-            edges.append((incumbent, newcomer))
-            edges.append((newcomer, incumbent))
-        elif gen.random() < _BORROW_FROM_INCUMBENT:
-            edges.append((incumbent, newcomer))
-        else:
-            edges.append((newcomer, incumbent))
-    edge_array = (
-        np.asarray(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
-    )
+    if reciprocal == 0.0:
+        draws.sync()
+        pairs = np.asarray(links, dtype=np.int64)
+        lend = gen.random(len(links)) < _BORROW_FROM_INCUMBENT
+        edge_array = np.where(lend[:, None], pairs, pairs[:, ::-1])
+    else:
+        edges: list[tuple[int, int]] = []
+        for incumbent, newcomer in links:
+            if draws.scalar() < reciprocal:
+                edges.append((incumbent, newcomer))
+                edges.append((newcomer, incumbent))
+            elif draws.scalar() < _BORROW_FROM_INCUMBENT:
+                edges.append((incumbent, newcomer))
+            else:
+                edges.append((newcomer, incumbent))
+        draws.sync()
+        edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     return Topology(n, edge_array, HETEROGENEOUS)
 
 

@@ -1,13 +1,26 @@
 """Straight-line reference implementations used as independent oracles.
 
-Everything here works on plain dicts and Python floats, recomputing totals
-by brute force each round, so the fast array engine is checked against an
-implementation that shares none of its code paths.
+The balance-sheet and cascade references work on plain dicts and Python
+floats, recomputing totals by brute force each round, so the fast array
+engine is checked against an implementation that shares none of its code
+paths.
+
+The two topology generators at the end are the original one-draw-at-a-time
+versions of ``knockon.netgen``'s generators. Their draw order defines the
+random stream every seed reproduces, so the optimised generators must yield
+equal topologies and leave the Generator at the same point. They read the
+tuning constants from ``knockon.netgen`` at call time, so a test that
+patches one (such as ``_REDRAW_LIMIT``) patches both sides.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
+
+from knockon import netgen
+from knockon.errors import InvalidParameterError
 
 
 def ref_weights(n, edges, lender_power, borrower_power, loan_fraction, total_external):
@@ -81,3 +94,106 @@ def ref_cascade(n, weights, external, worth, initial_bank, rule):
                 if jj == d and i not in defaulted:
                     distress[i] += w / owed * outgoing
     return len(order), order
+
+
+def ref_gen_erdos_renyi(n_banks, density, rng):
+    """Homogeneous topology from a single array of n(n-1) uniforms."""
+    n = int(n_banks)
+    if n < 2:
+        raise InvalidParameterError(f"n_banks must be at least 2, got {n_banks}")
+    if not 0.0 <= density <= 1.0:
+        raise InvalidParameterError(f"density must lie in [0, 1], got {density}")
+    gen = netgen._as_generator(rng)
+    total = n * (n - 1)
+    flat = np.flatnonzero(gen.random(total) < density)
+    creditor = flat // (n - 1)
+    offset = flat % (n - 1)
+    debtor = offset + (offset >= creditor)
+    return netgen.Topology(n, np.column_stack([creditor, debtor]), netgen.HOMOGENEOUS)
+
+
+def ref_gen_preferential_attachment(n_banks, density, rng):
+    """Heterogeneous topology drawing one scalar uniform per decision."""
+    n = int(n_banks)
+    if n < 3:
+        raise InvalidParameterError(f"n_banks must be at least 3, got {n_banks}")
+    if not 0.0 < density <= 1.0:
+        raise InvalidParameterError(f"density must lie in (0, 1], got {density}")
+    if density * (n - 1) / 2.0 < 0.5:
+        raise InvalidParameterError(
+            f"density {density} is infeasible at n={n}: mean attachment "
+            f"{density * (n - 1) / 2.0:.3f} is below 0.5"
+        )
+    gen = netgen._as_generator(rng)
+
+    directed_target = density * n * (n - 1)
+    max_links = n * (n - 1) / 2.0
+    # Single-direction edges can realize at most half of the possible ordered
+    # pairs; beyond that a matching share of relationships must be two-way.
+    reciprocal = max(0.0, directed_target / max_links - 1.0)
+    link_target = directed_target / (1.0 + reciprocal)
+
+    seed_size = max(2, min(n, math.ceil(link_target / (n - 1)) + 1))
+    budget = max(link_target - seed_size * (seed_size - 1) / 2.0, 0.0)
+    arrivals = n - seed_size
+    mean_per_arrival = budget / arrivals if arrivals else 0.0
+    shift = netgen._ATTRACTIVENESS - mean_per_arrival
+
+    degree = np.zeros(n, dtype=np.int64)
+    degree[:seed_size] = seed_size - 1
+    attach_w = np.full(n, netgen._ATTACH_FLOOR)
+    attach_w[:seed_size] = np.maximum(degree[:seed_size] + shift, netgen._ATTACH_FLOOR)
+
+    links: list[tuple[int, int]] = [
+        (a, b) for a in range(seed_size) for b in range(a + 1, seed_size)
+    ]
+
+    for v in range(seed_size, n):
+        remaining = n - v
+        m_mean = max(budget, 0.0) / remaining
+        m_lo = math.floor(m_mean)
+        frac = m_mean - m_lo
+        m = m_lo + (1 if gen.random() < frac else 0)
+        m = min(m, v)
+        if m > 0:
+            cum = np.cumsum(attach_w[:v])
+            total_w = float(cum[-1])
+            chosen: set[int] = set()
+            attempts = 0
+            while len(chosen) < m and attempts < netgen._REDRAW_LIMIT:
+                target = int(np.searchsorted(cum, gen.random() * total_w, side="right"))
+                target = min(target, v - 1)
+                if target in chosen:
+                    attempts += 1
+                    continue
+                chosen.add(target)
+            if len(chosen) < m:
+                # Redraw limit hit under an extremely dominant hub: fill the
+                # remainder by an explicit weighted draw without replacement.
+                probs = attach_w[:v].copy()
+                probs[list(chosen)] = 0.0
+                probs /= probs.sum()
+                extra = gen.choice(v, size=m - len(chosen), replace=False, p=probs)
+                chosen.update(int(t) for t in extra)
+            for target in sorted(chosen):
+                links.append((target, v))
+                degree[target] += 1
+            degree[v] = m
+            for target in chosen:
+                attach_w[target] = max(degree[target] + shift, netgen._ATTACH_FLOOR)
+        attach_w[v] = max(degree[v] + shift, netgen._ATTACH_FLOOR)
+        budget -= m
+
+    edges: list[tuple[int, int]] = []
+    for incumbent, newcomer in links:
+        if reciprocal > 0.0 and gen.random() < reciprocal:
+            edges.append((incumbent, newcomer))
+            edges.append((newcomer, incumbent))
+        elif gen.random() < netgen._BORROW_FROM_INCUMBENT:
+            edges.append((incumbent, newcomer))
+        else:
+            edges.append((newcomer, incumbent))
+    edge_array = (
+        np.asarray(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
+    )
+    return netgen.Topology(n, edge_array, netgen.HETEROGENEOUS)

@@ -263,6 +263,35 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"n = 80": "n = 2"}, "at least 3"),
+            ({"n = 80": "n = 500", "p = 0.05": "p = 0.001"}, "infeasible"),
+        ],
+    )
+    def test_heterogeneous_generator_bounds_are_config_errors(
+        self, tmp_path, capsys, edit, message
+    ):
+        text = SWEEP_CFG.replace("topology = homogeneous", "topology = heterogeneous")
+        for old, new in edit.items():
+            text = text.replace(old, new)
+        out_dir = tmp_path / "x"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out_dir)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_memory_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 3.0 GiB")
+
+        monkeypatch.setattr("knockon.experiment.gen_erdos_renyi", out_of_memory)
+        cfg_path = write_cfg(tmp_path, SWEEP_CFG)
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
+        assert code == 3
+        assert "Unable to allocate" in capsys.readouterr().err
+
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SWEEP_CFG.replace("p = 0.05", "p = 0"))
         code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")])

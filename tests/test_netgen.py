@@ -16,6 +16,8 @@ from knockon import (
     read_edge_list,
     write_edge_list,
 )
+from knockon import netgen
+from reference_impl import ref_gen_erdos_renyi, ref_gen_preferential_attachment
 
 ER_MEAN_EDGES = 500 * 499 * 0.005          # 1247.5
 ER_SIGMA = (500 * 499 * 0.005 * 0.995) ** 0.5
@@ -149,6 +151,79 @@ class TestPreferentialAttachment:
         t = gen_preferential_attachment(500, 0.005, RngStream(77, 0))
         g = degree_stats(t).out_degree
         assert g.max() >= 10 * max(float(np.median(g)), 1.0)
+
+
+def assert_same_stream(generate, reference, n, density, seeds, shared=False):
+    """The generator yields the reference's topology and leaves the
+    Generator where the reference does: the shocked-bank draw that follows
+    a topology in a replication, and the draw after it, agree."""
+    for k in seeds:
+        if shared:
+            # A Generator that already drew, as conftest.random_topology's is;
+            # integers() leaves a buffered 32-bit half-word behind.
+            ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+            ours.integers(0, 10)
+            theirs.integers(0, 10)
+        else:
+            ours, theirs = RngStream(2024, k).generator(), RngStream(2024, k).generator()
+        assert generate(n, density, ours) == reference(n, density, theirs), (n, density, k)
+        assert ours.integers(0, n) == theirs.integers(0, n), (n, density, k)
+        assert ours.random() == theirs.random(), (n, density, k)
+
+
+class TestSameStreamAsReference:
+    @pytest.mark.parametrize(
+        "n, density, seeds",
+        [
+            (500, 0.005, 40),
+            (500, 0.05, 6),
+            (30, 0.7, 60),   # reciprocal relationships
+            (12, 1.0, 60),
+            (3, 1.0, 20),
+            (3, 0.5, 20),
+        ],
+    )
+    def test_preferential_attachment(self, n, density, seeds):
+        assert_same_stream(
+            gen_preferential_attachment, ref_gen_preferential_attachment,
+            n, density, range(seeds),
+        )
+        assert_same_stream(
+            gen_preferential_attachment, ref_gen_preferential_attachment,
+            n, density, range(4), shared=True,
+        )
+
+    @pytest.mark.parametrize("n, density", [(500, 0.05), (30, 0.7), (12, 1.0)])
+    def test_preferential_attachment_fallback(self, monkeypatch, n, density):
+        # At the default limit the gen.choice fallback never fires; at 1 it
+        # fires on the first repeated target.
+        monkeypatch.setattr(netgen, "_REDRAW_LIMIT", 1)
+        assert_same_stream(
+            gen_preferential_attachment, ref_gen_preferential_attachment,
+            n, density, range(8),
+        )
+        assert_same_stream(
+            gen_preferential_attachment, ref_gen_preferential_attachment,
+            n, density, range(3), shared=True,
+        )
+
+    @pytest.mark.parametrize(
+        "n, density",
+        [
+            (2, 0.5),
+            (40, 0.1),          # one chunk
+            (256, 0.02),        # 256 * 255 pairs, just under one chunk of 2**16
+            (257, 0.02),        # 257 * 256 = 2**16 + 256: a full chunk and a short one
+            (700, 0.01),        # several chunks
+            (300, 0.0),
+            (30, 1.0),
+        ],
+    )
+    def test_erdos_renyi(self, n, density):
+        assert_same_stream(gen_erdos_renyi, ref_gen_erdos_renyi, n, density, range(6))
+        assert_same_stream(
+            gen_erdos_renyi, ref_gen_erdos_renyi, n, density, range(3), shared=True
+        )
 
 
 class TestDegreeStats:
