@@ -66,12 +66,6 @@ class WeightMatrix:
         hit = np.flatnonzero(cred == creditor)
         return float(amt[hit[0]]) if hit.size else 0.0
 
-    def as_dict(self) -> dict[tuple[int, int], float]:
-        return {
-            (int(i), int(j)): float(w)
-            for (i, j), w in zip(self.edges, self.amounts)
-        }
-
 
 @dataclass(frozen=True)
 class SheetConstants:
@@ -253,21 +247,24 @@ def build_balance_sheets(
     )
 
 
-def apply_surcharge(
-    sheets: BalanceSheetSet, surcharge_ratio: float, biggest_fraction: float
-) -> BalanceSheetSet:
-    """Impose extra equity on the largest banks.
+def surcharge_increments(
+    sheets: BalanceSheetSet, capital_ratios, surcharge_ratio: float, biggest_fraction: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The banks that carry a capital surcharge and their extra equity.
 
     The ``floor(biggest_fraction * n)`` banks with the largest assets (ties
     broken by larger total degree, then lower index) each gain
-    ``surcharge_ratio / (1 - capital_ratio - surcharge_ratio)`` times their
-    assets as additional net worth, booked against additional external
-    assets; deposits and interbank positions are unchanged.
+    ``surcharge_ratio / (1 - R - surcharge_ratio)`` times their assets at
+    capital ratio R. ``sheets`` must not carry a surcharge yet; its assets
+    do not depend on R. Returns the selected banks and a
+    ``(len(capital_ratios), len(selected))`` array of increments, one row
+    per ratio; both are empty when no bank is surcharged.
     """
-    ratio = sheets.constants.capital_ratio
-    if surcharge_ratio < 0.0 or ratio + surcharge_ratio >= 1.0:
+    ratios = np.asarray(capital_ratios, dtype=float)
+    top = float(ratios.max())
+    if surcharge_ratio < 0.0 or top + surcharge_ratio >= 1.0:
         raise InvalidParameterError(
-            f"surcharge ratio R_s must lie in [0, 1 - R), got {surcharge_ratio} with R={ratio}"
+            f"surcharge ratio R_s must lie in [0, 1 - R), got {surcharge_ratio} with R={top}"
         )
     if not 0.0 <= biggest_fraction <= 1.0:
         raise InvalidParameterError(
@@ -276,16 +273,26 @@ def apply_surcharge(
     n = sheets.n_banks
     # The 1e-9 nudge keeps floor() from losing an exactly-representable
     # product to float rounding (e.g. 0.1 * 30 -> 2.9999...).
-    count = int(np.floor(biggest_fraction * n + 1e-9))
-    if surcharge_ratio == 0.0 or count == 0:
-        return sheets
-
+    count = int(np.floor(biggest_fraction * n + 1e-9)) if surcharge_ratio > 0.0 else 0
     order = np.lexsort((np.arange(n), -sheets.total_degree, -sheets.assets))
     selected = order[:count]
-    increment = np.zeros(n)
-    increment[selected] = (
-        surcharge_ratio / (1.0 - ratio - surcharge_ratio) * sheets.assets[selected]
+    factor = surcharge_ratio / (1.0 - ratios - surcharge_ratio)
+    return selected, factor[:, None] * sheets.assets[selected]
+
+
+def apply_surcharge(
+    sheets: BalanceSheetSet, surcharge_ratio: float, biggest_fraction: float
+) -> BalanceSheetSet:
+    """Impose extra equity on the largest banks (see
+    :func:`surcharge_increments`), booked against additional external
+    assets; deposits and interbank positions are unchanged."""
+    selected, extra = surcharge_increments(
+        sheets, np.array([sheets.constants.capital_ratio]), surcharge_ratio, biggest_fraction
     )
+    if selected.size == 0:
+        return sheets
+    increment = np.zeros(sheets.n_banks)
+    increment[selected] = extra[0]
     return BalanceSheetSet(
         external_assets=sheets.external_assets + increment,
         interbank_loans=sheets.interbank_loans.copy(),

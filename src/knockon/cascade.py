@@ -120,53 +120,89 @@ def propagate(
 
     A live bank defaults when its net worth no longer strictly exceeds its
     accumulated distress. Calling propagate again on the final state yields
-    zero further defaults.
+    zero further defaults. This is :func:`propagate_grid` on one row.
     """
-    rule = LossRule(rule)
-    worth = sheets.net_worth
-    distress = state.distress
-    defaulted = state.defaulted
-    borrowings = weights.borrowings
+    _, log = propagate_grid(
+        sheets.net_worth[None, :], state.distress[None, :], state.defaulted[None, :],
+        weights, rule, collect=True,
+    )
+    (result,) = cascade_results(log, 1, weights.n_banks, state.initial_bank, state.round)
+    state.round += len(log)
+    return result
 
-    events: list[DefaultEvent] = []
-    total_sent = 0.0
-    rounds_run = 0
+
+def propagate_grid(
+    worth: np.ndarray,
+    distress: np.ndarray,
+    defaulted: np.ndarray,
+    weights: WeightMatrix,
+    rule: LossRule = LossRule.AMPLIFIED,
+    collect: bool = False,
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None]:
+    """Run G cascades on one network to quiescence at once, advancing
+    ``distress`` and ``defaulted`` in place.
+
+    All three arrays are C-contiguous ``(G, n)``, one row per cascade (in a
+    sweep, one per capital ratio). Each round marks every live bank whose
+    distress reaches its net worth defaulted, then gathers their creditor
+    slices and adds the live creditors' shares with ``np.add.at``, which
+    adds in array order: every bank gets the same float additions, in the
+    same order, as from a loop over the defaulters in ascending bank order.
+
+    Returns the default count per row and, with ``collect``, a log of one
+    (flat index, distress at default, distress delivered) array triple per
+    round for :func:`cascade_results`.
+    """
+    if not (distress.flags.c_contiguous and defaulted.flags.c_contiguous):
+        # reshape would copy, and the in-place updates would be lost
+        raise InvalidParameterError("distress and defaulted must be C-contiguous arrays")
+    pick = np.maximum if LossRule(rule) is LossRule.AMPLIFIED else np.minimum
+    rows, n = worth.shape
+    worth, distress, defaulted = worth.reshape(-1), distress.reshape(-1), defaulted.reshape(-1)
+    ptr = weights.debtor_ptr
+    counts = np.zeros(rows, dtype=np.int64)
+    log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = [] if collect else None
 
     while True:
         hit = np.flatnonzero(~defaulted & (worth <= distress))
         if hit.size == 0:
-            break
-        rounds_run += 1
-        state.round += 1
+            return counts, log
         defaulted[hit] = True
-        for d in hit:
-            at_default = float(distress[d])
-            owed = float(borrowings[d])
-            delivered = 0.0
-            if owed > 0.0:
-                residual = at_default - float(worth[d])
-                if rule is LossRule.AMPLIFIED:
-                    outgoing = max(residual, owed)
-                else:
-                    outgoing = min(residual, owed)
-                creditors, amounts = weights.creditors_of(int(d))
-                live = ~defaulted[creditors]
-                if np.any(live):
-                    shares = amounts[live] / owed * outgoing
-                    distress[creditors[live]] += shares
-                    delivered = float(shares.sum())
-            total_sent += delivered
-            events.append(
-                DefaultEvent(
-                    bank=int(d), round=state.round,
-                    distress=at_default, transmitted=delivered,
-                )
-            )
+        row, bank = np.divmod(hit, n)
+        counts += np.bincount(row, minlength=rows)
+        at_default = distress[hit]
+        owed = weights.borrowings[bank]
+        outgoing = pick(at_default - worth[hit], owed)
+        # One entry per (defaulter, creditor) pair, defaulters in hit order.
+        size = ptr[bank + 1] - ptr[bank]
+        which = np.repeat(np.arange(hit.size), size)
+        edge = np.arange(which.size)
+        edge += (ptr[bank] - np.cumsum(size) + size)[which]
+        target = weights.debtor_creditors[edge]
+        target += (row * n)[which]
+        live = ~defaulted[target]
+        which, edge, target = which[live], edge[live], target[live]
+        shares = weights.debtor_amounts[edge] / owed[which] * outgoing[which]
+        np.add.at(distress, target, shares)
+        if log is not None:
+            bounds = np.searchsorted(which, np.arange(hit.size + 1)).tolist()
+            sent = [shares[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]
+            log.append((hit, at_default, np.array(sent)))
 
-    return CascadeResult(
-        initial_bank=state.initial_bank,
-        n_defaults=len(events),
-        rounds=rounds_run,
-        total_loss_transmitted=total_sent,
-        defaults=tuple(events),
-    )
+
+def cascade_results(
+    log: list, rows: int, n_banks: int, initial_bank: int, first_round: int = 0
+) -> list[CascadeResult]:
+    """One result per row of a :func:`propagate_grid` log, rounds numbered
+    on from ``first_round``."""
+    events: list[list[DefaultEvent]] = [[] for _ in range(rows)]
+    for number, (hit, at_default, sent) in enumerate(log, start=first_round + 1):
+        for flat, before, out in zip(hit.tolist(), at_default.tolist(), sent.tolist()):
+            events[flat // n_banks].append(DefaultEvent(flat % n_banks, number, before, out))
+    results = []
+    for row in events:
+        # cumsum adds one by one in default order, as a running total would.
+        total = float(np.cumsum([e.transmitted for e in row])[-1]) if row else 0.0
+        rounds = row[-1].round - first_round if row else 0
+        results.append(CascadeResult(initial_bank, len(row), rounds, total, tuple(row)))
+    return results

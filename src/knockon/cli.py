@@ -27,10 +27,13 @@ import argparse
 import configparser
 import dataclasses
 import json
+import platform
 import sys
 import time
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__
 from .balance import apply_surcharge, build_balance_sheets, compute_weights, to_csv, validate
@@ -267,10 +270,9 @@ def cmd_sweep(
     trace: bool = False,
 ) -> None:
     """Run the sweep and write curves CSV, manifest JSON and optional raw
-    samples and cascade trace into ``out_dir``."""
+    samples and cascade trace into ``out_dir``, which is created only once
+    the sweep has succeeded."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_path = out / "trace.ndjson"
     trace_entries: list[str] = []
     sink = None
     if trace:
@@ -282,6 +284,7 @@ def cmd_sweep(
     result = sweep(cfg, workers=workers, keep_samples=raw_samples, trace_sink=sink)
     wall = time.perf_counter() - started
 
+    out.mkdir(parents=True, exist_ok=True)
     curves_path = out / "sweep.csv"
     curves_path.write_text(result.to_csv(), encoding="ascii")
     outputs = {"curves_csv": str(curves_path)}
@@ -291,6 +294,7 @@ def cmd_sweep(
         raw_path.write_text(result.raw_samples_csv(), encoding="ascii")
         outputs["raw_samples_csv"] = str(raw_path)
     if trace:
+        trace_path = out / "trace.ndjson"
         trace_path.write_text(
             "\n".join(trace_entries) + ("\n" if trace_entries else ""), encoding="ascii"
         )
@@ -300,13 +304,12 @@ def cmd_sweep(
         "tool": "knockon",
         "version": __version__,
         "created_utc": datetime.now(timezone.utc).isoformat(),
+        "numpy_version": np.__version__,
+        "python_version": platform.python_version(),
         "config": _config_echo(cfg),
         "workers": workers,
         "total_seconds": wall,
-        "per_r_seconds": {
-            repr(r): s
-            for r, s in zip(cfg.capital_ratio_grid, result.per_ratio_seconds)
-        },
+        "per_layer_seconds": result.per_layer_seconds,
         "realized_density_mean": result.realized_density_mean,
         "outputs": outputs,
     }

@@ -20,8 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .balance import apply_surcharge, build_balance_sheets, compute_weights
-from .cascade import CascadeResult, LossRule, initial_shock, propagate
+from .balance import build_balance_sheets, compute_weights, surcharge_increments
+from .cascade import CascadeResult, LossRule, cascade_results, propagate_grid
 from .errors import InvalidParameterError, KnockonError, ReplicationError
 from .netgen import (
     EXTERNAL,
@@ -37,6 +37,9 @@ from .netgen import (
 
 SWEEP_CSV_HEADER = "R,mean,std,mean_plus_std,p90,p95,p99,max,knock_on_fraction"
 RAW_CSV_HEADER = "R,stream_index,N_d"
+
+#: The layers of one replication, in the order their seconds are kept.
+LAYERS = ("topology", "weights", "sheets", "cascade")
 
 
 @dataclass(frozen=True)
@@ -138,13 +141,17 @@ class SweepRecord:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Per-ratio statistics over all replications, plus run metadata."""
+    """Per-ratio statistics over all replications, plus run metadata.
+
+    ``per_layer_seconds`` maps each of :data:`LAYERS` to its seconds summed
+    over all replications.
+    """
 
     config: ScenarioConfig
     records: tuple[SweepRecord, ...]
     realized_density_mean: float
     samples: np.ndarray | None
-    per_ratio_seconds: tuple[float, ...]
+    per_layer_seconds: dict[str, float]
     total_seconds: float
 
     def to_csv(self) -> str:
@@ -201,13 +208,20 @@ def _replicate_grid(
 ) -> tuple[np.ndarray, float, np.ndarray, list[CascadeResult] | None]:
     """One replication: one topology, one shocked bank, all grid ratios.
 
-    Returns (default counts per ratio, realized density, seconds per ratio,
-    optional cascade results per ratio).
+    Only net worth depends on the capital ratio R, so one sheet serves the
+    whole grid: row g of the net-worth matrix is ``R_g`` times liabilities
+    plus that ratio's surcharge, and one :func:`propagate_grid` call runs
+    every ratio's cascade. Returns (default counts per ratio, realized
+    density, seconds per layer of :data:`LAYERS`, optional cascade results
+    per ratio).
     """
     gen = RngStream(cfg.master_seed, stream_index).generator()
+    grid = np.asarray(cfg.capital_ratio_grid)
+    clock = [perf_counter()]
     try:
         topology = external if external is not None else _make_topology(cfg, gen)
         bank = int(gen.integers(0, cfg.n_banks))
+        clock.append(perf_counter())
         weights = compute_weights(
             topology,
             cfg.lender_power,
@@ -215,27 +229,31 @@ def _replicate_grid(
             cfg.loan_fraction,
             cfg.total_external,
         )
-        grid = cfg.capital_ratio_grid
-        counts = np.zeros(len(grid), dtype=np.int64)
-        seconds = np.zeros(len(grid))
-        results: list[CascadeResult] | None = [] if collect_results else None
-        for idx, ratio in enumerate(grid):
-            t0 = perf_counter()
-            sheets = build_balance_sheets(
-                weights, cfg.loan_fraction, ratio, cfg.total_external
+        clock.append(perf_counter())
+        sheets = build_balance_sheets(
+            weights, cfg.loan_fraction, cfg.capital_ratio_grid[0], cfg.total_external
+        )
+        worth = grid[:, None] * sheets.liabilities
+        distress = np.zeros_like(worth)
+        distress[:, bank] = sheets.external_assets[bank]
+        if cfg.surcharge is not None:
+            selected, extra = surcharge_increments(
+                sheets, grid, cfg.surcharge.surcharge_ratio, cfg.surcharge.biggest_fraction
             )
-            if cfg.surcharge is not None:
-                sheets = apply_surcharge(
-                    sheets, cfg.surcharge.surcharge_ratio, cfg.surcharge.biggest_fraction
-                )
-            state = initial_shock(sheets, bank)
-            outcome = propagate(sheets, weights, state, cfg.loss_rule)
-            counts[idx] = outcome.n_defaults
-            seconds[idx] = perf_counter() - t0
-            if results is not None:
-                results.append(outcome)
+            worth[:, selected] += extra
+            # The surcharge is booked as external assets, so it is shocked too.
+            distress[:, bank] += extra[:, selected == bank].sum(axis=1)
+        clock.append(perf_counter())
+        counts, log = propagate_grid(
+            worth, distress, np.zeros(worth.shape, dtype=bool), weights,
+            cfg.loss_rule, collect=collect_results,
+        )
+        results = None
+        if log is not None:
+            results = cascade_results(log, len(grid), cfg.n_banks, bank)
+        clock.append(perf_counter())
         density = topology.n_edges / (cfg.n_banks * (cfg.n_banks - 1))
-        return counts, density, seconds, results
+        return counts, density, np.diff(clock), results
     except KnockonError as exc:
         if isinstance(exc, ReplicationError):
             raise
@@ -306,7 +324,7 @@ def sweep(
     grid = cfg.capital_ratio_grid
     samples = np.zeros((len(grid), reps), dtype=np.int64)
     densities = np.zeros(reps)
-    seconds = np.zeros(len(grid))
+    seconds = np.zeros(len(LAYERS))
 
     if workers == 1:
         for k in range(reps):
@@ -366,6 +384,6 @@ def sweep(
         records=tuple(records),
         realized_density_mean=float(densities.mean()),
         samples=samples if keep_samples else None,
-        per_ratio_seconds=tuple(float(s) for s in seconds),
+        per_layer_seconds={layer: float(s) for layer, s in zip(LAYERS, seconds)},
         total_seconds=perf_counter() - wall_start,
     )

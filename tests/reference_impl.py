@@ -11,15 +11,23 @@ random stream every seed reproduces, so the optimised generators must yield
 equal topologies and leave the Generator at the same point. They read the
 tuning constants from ``knockon.netgen`` at call time, so a test that
 patches one (such as ``_REDRAW_LIMIT``) patches both sides.
+
+``ref_replicate_grid`` is the original per-ratio replication, with the
+original ``apply_surcharge`` and one-defaulter-at-a-time ``propagate`` loop:
+one sheet, one shock and one cascade per capital ratio. The batched sweep
+must give equal default counts and bit-equal default events.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
 from knockon import netgen
+from knockon.balance import BalanceSheetSet, build_balance_sheets, compute_weights
+from knockon.cascade import CascadeResult, DefaultEvent, LossRule, initial_shock
 from knockon.errors import InvalidParameterError
 
 
@@ -197,3 +205,119 @@ def ref_gen_preferential_attachment(n_banks, density, rng):
         np.asarray(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
     )
     return netgen.Topology(n, edge_array, netgen.HETEROGENEOUS)
+
+
+def ref_apply_surcharge(sheets, surcharge_ratio, biggest_fraction):
+    """Extra equity on the largest banks, one capital ratio at a time."""
+    ratio = sheets.constants.capital_ratio
+    if surcharge_ratio < 0.0 or ratio + surcharge_ratio >= 1.0:
+        raise InvalidParameterError(
+            f"surcharge ratio R_s must lie in [0, 1 - R), got {surcharge_ratio} with R={ratio}"
+        )
+    if not 0.0 <= biggest_fraction <= 1.0:
+        raise InvalidParameterError(
+            f"biggest_fraction must lie in [0, 1], got {biggest_fraction}"
+        )
+    n = sheets.n_banks
+    count = int(np.floor(biggest_fraction * n + 1e-9))
+    if surcharge_ratio == 0.0 or count == 0:
+        return sheets
+
+    order = np.lexsort((np.arange(n), -sheets.total_degree, -sheets.assets))
+    selected = order[:count]
+    increment = np.zeros(n)
+    increment[selected] = (
+        surcharge_ratio / (1.0 - ratio - surcharge_ratio) * sheets.assets[selected]
+    )
+    return BalanceSheetSet(
+        external_assets=sheets.external_assets + increment,
+        interbank_loans=sheets.interbank_loans.copy(),
+        interbank_borrowings=sheets.interbank_borrowings.copy(),
+        net_worth=sheets.net_worth + increment,
+        deposits=sheets.deposits.copy(),
+        assets=sheets.assets + increment,
+        liabilities=sheets.liabilities + increment,
+        surcharge=increment,
+        total_degree=sheets.total_degree.copy(),
+        constants=replace(
+            sheets.constants,
+            surcharge_ratio=float(surcharge_ratio),
+            biggest_fraction=float(biggest_fraction),
+        ),
+    )
+
+
+def ref_propagate(sheets, weights, state, rule):
+    """The cascade with a Python loop over each round's defaulters in
+    ascending bank order, one creditor slice and one mask each."""
+    rule = LossRule(rule)
+    worth = sheets.net_worth
+    distress = state.distress
+    defaulted = state.defaulted
+    borrowings = weights.borrowings
+
+    events = []
+    total_sent = 0.0
+    rounds_run = 0
+
+    while True:
+        hit = np.flatnonzero(~defaulted & (worth <= distress))
+        if hit.size == 0:
+            break
+        rounds_run += 1
+        state.round += 1
+        defaulted[hit] = True
+        for d in hit:
+            at_default = float(distress[d])
+            owed = float(borrowings[d])
+            delivered = 0.0
+            if owed > 0.0:
+                residual = at_default - float(worth[d])
+                if rule is LossRule.AMPLIFIED:
+                    outgoing = max(residual, owed)
+                else:
+                    outgoing = min(residual, owed)
+                creditors, amounts = weights.creditors_of(int(d))
+                live = ~defaulted[creditors]
+                if np.any(live):
+                    shares = amounts[live] / owed * outgoing
+                    distress[creditors[live]] += shares
+                    delivered = float(shares.sum())
+            total_sent += delivered
+            events.append(
+                DefaultEvent(
+                    bank=int(d), round=state.round,
+                    distress=at_default, transmitted=delivered,
+                )
+            )
+
+    return CascadeResult(
+        initial_bank=state.initial_bank,
+        n_defaults=len(events),
+        rounds=rounds_run,
+        total_loss_transmitted=total_sent,
+        defaults=tuple(events),
+    )
+
+
+def ref_replicate_grid(cfg, gen):
+    """One replication drawn from ``gen``: the topology, then the shocked
+    bank, then one sheet, shock and cascade per grid ratio. Returns the
+    cascade results in grid order."""
+    if cfg.topology_kind == netgen.HOMOGENEOUS:
+        topology = netgen.gen_erdos_renyi(cfg.n_banks, cfg.density, gen)
+    else:
+        topology = netgen.gen_preferential_attachment(cfg.n_banks, cfg.density, gen)
+    bank = int(gen.integers(0, cfg.n_banks))
+    weights = compute_weights(
+        topology, cfg.lender_power, cfg.borrower_power, cfg.loan_fraction, cfg.total_external
+    )
+    results = []
+    for ratio in cfg.capital_ratio_grid:
+        sheets = build_balance_sheets(weights, cfg.loan_fraction, ratio, cfg.total_external)
+        if cfg.surcharge is not None:
+            sheets = ref_apply_surcharge(
+                sheets, cfg.surcharge.surcharge_ratio, cfg.surcharge.biggest_fraction
+            )
+        results.append(ref_propagate(sheets, weights, initial_shock(sheets, bank), cfg.loss_rule))
+    return results

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from knockon import (
     InvalidParameterError,
@@ -14,6 +16,7 @@ from knockon import (
     propagate,
     transmit_shares,
 )
+from knockon.cascade import cascade_results, propagate_grid
 
 from conftest import random_topology
 from reference_impl import ref_cascade, ref_sheets, ref_weights
@@ -276,3 +279,47 @@ class TestPropagateProperties:
                 want_count, want_order = ref_cascade(n, weights, external, worth, bank, tag)
                 assert mine.n_defaults == want_count
                 assert list(mine.default_set) == want_order
+
+
+class TestPropagateGrid:
+    def test_rejects_strided_state(self):
+        wm, bs = two_bank_setup(0.05)
+        state = initial_shock(bs, 1)
+        state.distress = np.zeros(4)[::2]
+        with pytest.raises(InvalidParameterError, match="contiguous"):
+            propagate(bs, wm, state)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 12),
+        density=st.floats(0.1, 0.9),
+        loan_fraction=st.floats(0.05, 0.45),
+        powers=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        ratios=st.lists(st.floats(0.005, 0.5), min_size=1, max_size=6, unique=True),
+        rule=st.sampled_from(LossRule),
+        data=st.data(),
+    )
+    def test_every_row_matches_reference(
+        self, seed, n, density, loan_fraction, powers, ratios, rule, data
+    ):
+        top = gen_erdos_renyi(n, density, RngStream(seed, 0))
+        assume(top.n_edges > 0)
+        bank = data.draw(st.integers(0, n - 1))
+        ratios = sorted(ratios)
+        wm = compute_weights(top, *powers, loan_fraction, 1.0)
+        bs = build_balance_sheets(wm, loan_fraction, ratios[0], 1.0)
+        worth = np.array(ratios)[:, None] * bs.liabilities
+        distress = np.zeros_like(worth)
+        distress[:, bank] = bs.external_assets[bank]
+        counts, log = propagate_grid(
+            worth, distress, np.zeros(worth.shape, dtype=bool), wm, rule, collect=True
+        )
+        results = cascade_results(log, len(ratios), n, bank)
+
+        weights = ref_weights(n, [tuple(e) for e in top.edges.tolist()], *powers, loan_fraction, 1.0)
+        for ratio, count, result in zip(ratios, counts, results):
+            external, _, _, ref_worth = ref_sheets(n, weights, ratio, 1.0)
+            want_count, want_order = ref_cascade(n, weights, external, ref_worth, bank, rule.value)
+            assert count == result.n_defaults == want_count
+            assert list(result.default_set) == want_order

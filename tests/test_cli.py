@@ -1,4 +1,5 @@
 import json
+import platform
 
 import numpy as np
 import pytest
@@ -221,7 +222,10 @@ class TestSweepCommand:
         assert manifest["config"]["replications"] == 50
         assert manifest["config"]["loss_rule"] == "capped"
         assert manifest["workers"] == 1
-        assert set(manifest["per_r_seconds"]) == {"0.02", "0.06"}
+        assert set(manifest["per_layer_seconds"]) == {"topology", "weights", "sheets", "cascade"}
+        assert all(s >= 0.0 for s in manifest["per_layer_seconds"].values())
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["python_version"] == platform.python_version()
         from pathlib import Path
 
         for path in manifest["outputs"].values():
@@ -297,6 +301,23 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert code == 3
         assert "stream 0" in capsys.readouterr().err
+
+    def test_failed_sweep_makes_no_output_directory(self, tmp_path, capsys):
+        text = SWEEP_CFG.replace("p = 0.05\n", "")
+        out_dir = tmp_path / "x"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out_dir)])
+        assert code == 3
+        assert not out_dir.exists()
+
+    def test_failed_sweep_leaves_existing_directory_alone(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        out_dir.mkdir()
+        (out_dir / "sweep.csv").write_text("earlier run\n")
+        text = SWEEP_CFG.replace("p = 0.05\n", "")
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out_dir)])
+        assert code == 3
+        assert [f.name for f in out_dir.iterdir()] == ["sweep.csv"]
+        assert (out_dir / "sweep.csv").read_text() == "earlier run\n"
 
     def test_worker_csv_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SWEEP_CFG)

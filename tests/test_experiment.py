@@ -5,6 +5,7 @@ from knockon import (
     InvalidParameterError,
     LossRule,
     ReplicationError,
+    RngStream,
     ScenarioConfig,
     SurchargePolicy,
     Topology,
@@ -13,7 +14,8 @@ from knockon import (
     sweep,
     write_edge_list,
 )
-from knockon.experiment import RAW_CSV_HEADER, SWEEP_CSV_HEADER
+from knockon.experiment import RAW_CSV_HEADER, SWEEP_CSV_HEADER, _replicate_grid
+from reference_impl import ref_replicate_grid
 
 
 def small_config(**overrides):
@@ -141,6 +143,71 @@ class TestRunReplication:
             run_replication(cfg, 0.05, 3)
         assert err.value.stream_index == 3
         assert "interbank" in str(err.value)
+
+
+def result_bits(result):
+    """Everything a cascade result reports, floats as their exact bits."""
+    return (
+        result.initial_bank, result.n_defaults, result.rounds,
+        result.total_loss_transmitted.hex(),
+        [(e.bank, e.round, e.distress.hex(), e.transmitted.hex()) for e in result.defaults],
+    )
+
+
+class TestBatchedGridMatchesPerRatio:
+    """One batched cascade per replication against the per-ratio sheets,
+    shocks and cascades it replaced."""
+
+    GRID = (0.01, 0.02, 0.04, 0.07, 0.1)
+
+    @staticmethod
+    def assert_same(cfg, counts, results, gen):
+        want = ref_replicate_grid(cfg, gen)
+        assert counts.tolist() == [r.n_defaults for r in want]
+        assert [result_bits(r) for r in results] == [result_bits(r) for r in want]
+
+    @pytest.mark.parametrize("rule", [LossRule.AMPLIFIED, LossRule.CAPPED])
+    @pytest.mark.parametrize("surcharge", [None, SurchargePolicy(0.02, 0.2)])
+    @pytest.mark.parametrize("kind", ["homogeneous", "heterogeneous"])
+    def test_same_counts_and_events(self, rule, surcharge, kind):
+        cfg = small_config(
+            topology_kind=kind, density=0.08, capital_ratio_grid=self.GRID,
+            loss_rule=rule, surcharge=surcharge,
+        )
+        cascades = 0
+        for k in range(12):
+            counts, _, _, results = _replicate_grid(cfg, None, k, collect_results=True)
+            self.assert_same(cfg, counts, results, RngStream(cfg.master_seed, k).generator())
+            cascades += int(np.count_nonzero(counts > 1))
+        assert cascades > 0, "no knock-on default was compared"
+
+    def test_already_used_generator(self, monkeypatch):
+        def used_generator():
+            gen = RngStream(5, 0).generator()
+            gen.integers(0, 10)  # leaves a buffered 32-bit half-word behind
+            return gen
+
+        class UsedStream:
+            def __init__(self, *args):
+                pass
+
+            def generator(self):
+                return used_generator()
+
+        monkeypatch.setattr("knockon.experiment.RngStream", UsedStream)
+        cfg = small_config(
+            density=0.1, capital_ratio_grid=self.GRID, loss_rule=LossRule.AMPLIFIED,
+            surcharge=SurchargePolicy(0.02, 0.2),
+        )
+        counts, _, _, results = _replicate_grid(cfg, None, 0, collect_results=True)
+        self.assert_same(cfg, counts, results, used_generator())
+
+    def test_shocked_bank_carries_its_surcharge(self):
+        # every bank is surcharged, so every shock includes an increment
+        cfg = small_config(capital_ratio_grid=self.GRID, surcharge=SurchargePolicy(0.03, 1.0))
+        for k in range(4):
+            counts, _, _, results = _replicate_grid(cfg, None, k, collect_results=True)
+            self.assert_same(cfg, counts, results, RngStream(cfg.master_seed, k).generator())
 
 
 class TestSweep:
