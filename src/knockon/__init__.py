@@ -26,7 +26,6 @@ from .cascade import (
     ShockState,
     initial_shock,
     propagate,
-    transmit_shares,
 )
 from .errors import (
     ConfigError,
@@ -94,7 +93,6 @@ __all__ = [
     "read_edge_list",
     "run_replication",
     "sweep",
-    "transmit_shares",
     "validate",
     "write_edge_list",
 ]

@@ -33,24 +33,19 @@ BALANCE_CSV_HEADER = "bank,E,I,B,C,D,A,surcharge"
 class WeightMatrix:
     """Per-edge loan amounts plus per-bank totals.
 
-    ``edges[k] = (i, j)`` carries ``amounts[k]``, the amount bank j borrows
-    from bank i. ``loans[i]`` sums bank i's lending over its debtors and
-    ``borrowings[j]`` sums bank j's borrowing over its creditors. The
-    debtor-indexed CSR views let a cascade look up a failed bank's creditors
-    in one slice.
+    ``amounts[k]`` is carried by the topology's edge ``edges[k] = (i, j)``:
+    the amount bank j borrows from bank i. ``loans[i]`` sums bank i's
+    lending over its debtors and ``borrowings[j]`` sums bank j's borrowing
+    over its creditors. The debtor-indexed CSR views let a cascade look up
+    a failed bank's creditors in one slice.
     """
 
     n_banks: int
-    edges: np.ndarray
     amounts: np.ndarray
     loans: np.ndarray
     borrowings: np.ndarray
     out_degree: np.ndarray
     in_degree: np.ndarray
-    loan_fraction: float
-    total_external: float
-    lender_power: float
-    borrower_power: float
     debtor_ptr: np.ndarray
     debtor_creditors: np.ndarray
     debtor_amounts: np.ndarray
@@ -60,12 +55,6 @@ class WeightMatrix:
         lo, hi = self.debtor_ptr[debtor], self.debtor_ptr[debtor + 1]
         return self.debtor_creditors[lo:hi], self.debtor_amounts[lo:hi]
 
-    def amount(self, creditor: int, debtor: int) -> float:
-        """The loan amount on edge (creditor, debtor); 0.0 if absent."""
-        cred, amt = self.creditors_of(debtor)
-        hit = np.flatnonzero(cred == creditor)
-        return float(amt[hit[0]]) if hit.size else 0.0
-
 
 @dataclass(frozen=True)
 class SheetConstants:
@@ -74,10 +63,6 @@ class SheetConstants:
     loan_fraction: float
     capital_ratio: float
     total_external: float
-    lender_power: float
-    borrower_power: float
-    surcharge_ratio: float = 0.0
-    biggest_fraction: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -172,16 +157,11 @@ def compute_weights(
 
     return WeightMatrix(
         n_banks=n,
-        edges=topology.edges,
         amounts=amounts,
         loans=loans,
         borrowings=borrowings,
         out_degree=stats.out_degree,
         in_degree=stats.in_degree,
-        loan_fraction=float(loan_fraction),
-        total_external=float(total_external),
-        lender_power=float(lender_power),
-        borrower_power=float(borrower_power),
         debtor_ptr=debtor_ptr,
         debtor_creditors=creditor[order],
         debtor_amounts=amounts[order],
@@ -241,8 +221,6 @@ def build_balance_sheets(
             loan_fraction=float(loan_fraction),
             capital_ratio=float(capital_ratio),
             total_external=float(total_external),
-            lender_power=weights.lender_power,
-            borrower_power=weights.borrower_power,
         ),
     )
 
@@ -293,21 +271,13 @@ def apply_surcharge(
         return sheets
     increment = np.zeros(sheets.n_banks)
     increment[selected] = extra[0]
-    return BalanceSheetSet(
+    return replace(
+        sheets,
         external_assets=sheets.external_assets + increment,
-        interbank_loans=sheets.interbank_loans.copy(),
-        interbank_borrowings=sheets.interbank_borrowings.copy(),
         net_worth=sheets.net_worth + increment,
-        deposits=sheets.deposits.copy(),
         assets=sheets.assets + increment,
         liabilities=sheets.liabilities + increment,
         surcharge=increment,
-        total_degree=sheets.total_degree.copy(),
-        constants=replace(
-            sheets.constants,
-            surcharge_ratio=float(surcharge_ratio),
-            biggest_fraction=float(biggest_fraction),
-        ),
     )
 
 

@@ -93,23 +93,6 @@ def initial_shock(sheets: BalanceSheetSet, bank: int) -> ShockState:
     )
 
 
-def transmit_shares(weights: WeightMatrix, debtor: int, residual: float) -> dict[int, float]:
-    """Pro-rata split of ``residual`` across the debtor's creditors.
-
-    Creditor j receives ``amount(j, debtor) / borrowings(debtor) * residual``.
-    Returns an empty mapping when the debtor has no borrowings.
-    """
-    if residual < 0.0:
-        raise InvalidParameterError(f"residual must be non-negative, got {residual}")
-    total = float(weights.borrowings[debtor])
-    if total == 0.0:
-        return {}
-    creditors, amounts = weights.creditors_of(debtor)
-    return {
-        int(c): float(a) / total * residual for c, a in zip(creditors, amounts)
-    }
-
-
 def propagate(
     sheets: BalanceSheetSet,
     weights: WeightMatrix,

@@ -27,9 +27,12 @@ import argparse
 import configparser
 import dataclasses
 import json
+import os
 import platform
+import shutil
 import sys
-import time
+import tempfile
+from contextlib import nullcontext
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -44,13 +47,12 @@ from .errors import (
     KnockonError,
     ParseError,
 )
-from .experiment import ScenarioConfig, SurchargePolicy, sweep
+from .experiment import ScenarioConfig, SurchargePolicy, _make_topology, sweep
 from .netgen import (
     EXTERNAL,
+    GENERATOR_VERSION,
     RngStream,
     degree_stats,
-    gen_erdos_renyi,
-    gen_preferential_attachment,
     read_edge_list,
     write_edge_list,
 )
@@ -214,13 +216,7 @@ def _config_echo(cfg: ScenarioConfig) -> dict:
 def cmd_generate(cfg: ScenarioConfig, out_path: str | Path) -> None:
     """Write one topology (stream index 0) as an edge list and print a
     degree summary."""
-    gen = RngStream(cfg.master_seed, 0).generator()
-    if cfg.topology_kind == "homogeneous":
-        topology = gen_erdos_renyi(cfg.n_banks, cfg.density, gen)
-    elif cfg.topology_kind == "heterogeneous":
-        topology = gen_preferential_attachment(cfg.n_banks, cfg.density, gen)
-    else:
-        raise InvalidParameterError("generate needs topology = homogeneous or heterogeneous")
+    topology = _make_topology(cfg, RngStream(cfg.master_seed, 0).generator())
     write_edge_list(topology, out_path)
     stats = degree_stats(topology)
     print(f"wrote {out_path} ({topology.n_edges} edges)")
@@ -270,56 +266,60 @@ def cmd_sweep(
     trace: bool = False,
 ) -> None:
     """Run the sweep and write curves CSV, manifest JSON and optional raw
-    samples and cascade trace into ``out_dir``, which is created only once
-    the sweep has succeeded."""
+    samples and cascade trace into ``out_dir``.
+
+    Every file is written into a staging directory next to ``out_dir``, the
+    trace while the sweep runs. Once all are complete the staging directory
+    is renamed to ``out_dir`` or, if that exists, its files are moved in. On
+    any failure the staging directory is removed and ``out_dir`` is left as
+    it was.
+    """
     out = Path(out_dir)
-    trace_entries: list[str] = []
-    sink = None
-    if trace:
-        if workers != 1:
-            raise InvalidParameterError("--trace requires --workers 1")
-        sink = lambda event: trace_entries.append(json.dumps(event))
-
-    started = time.perf_counter()
-    result = sweep(cfg, workers=workers, keep_samples=raw_samples, trace_sink=sink)
-    wall = time.perf_counter() - started
-
-    out.mkdir(parents=True, exist_ok=True)
-    curves_path = out / "sweep.csv"
-    curves_path.write_text(result.to_csv(), encoding="ascii")
-    outputs = {"curves_csv": str(curves_path)}
-
+    outputs = {"curves_csv": "sweep.csv"}
     if raw_samples:
-        raw_path = out / "samples.csv"
-        raw_path.write_text(result.raw_samples_csv(), encoding="ascii")
-        outputs["raw_samples_csv"] = str(raw_path)
+        outputs["raw_samples_csv"] = "samples.csv"
     if trace:
-        trace_path = out / "trace.ndjson"
-        trace_path.write_text(
-            "\n".join(trace_entries) + ("\n" if trace_entries else ""), encoding="ascii"
-        )
-        outputs["trace_ndjson"] = str(trace_path)
-
-    manifest = {
-        "tool": "knockon",
-        "version": __version__,
-        "created_utc": datetime.now(timezone.utc).isoformat(),
-        "numpy_version": np.__version__,
-        "python_version": platform.python_version(),
-        "config": _config_echo(cfg),
-        "workers": workers,
-        "total_seconds": wall,
-        "per_layer_seconds": result.per_layer_seconds,
-        "realized_density_mean": result.realized_density_mean,
-        "outputs": outputs,
-    }
-    manifest_path = out / "manifest.json"
-    manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")
-    print(f"wrote {curves_path}")
-    print(f"wrote {manifest_path}")
-    for name, value in outputs.items():
-        if name != "curves_csv":
-            print(f"wrote {value}")
+        outputs["trace_ndjson"] = "trace.ndjson"
+    names = [*outputs.values(), "manifest.json"]
+    out.parent.mkdir(parents=True, exist_ok=True)
+    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    try:
+        # mkdtemp makes the directory private; give it the mode mkdir would.
+        umask = os.umask(0)
+        os.umask(umask)
+        stage.chmod(0o777 & ~umask)
+        with open(stage / "trace.ndjson", "w", encoding="ascii") if trace else nullcontext() as fh:
+            sink = (lambda event: fh.write(json.dumps(event) + "\n")) if trace else None
+            result = sweep(cfg, workers=workers, keep_samples=raw_samples, trace_sink=sink)
+        (stage / "sweep.csv").write_text(result.to_csv(), encoding="ascii")
+        if raw_samples:
+            (stage / "samples.csv").write_text(result.raw_samples_csv(), encoding="ascii")
+        manifest = {
+            "tool": "knockon",
+            "version": __version__,
+            "created_utc": datetime.now(timezone.utc).isoformat(),
+            "numpy_version": np.__version__,
+            "python_version": platform.python_version(),
+            "generator_version": GENERATOR_VERSION,
+            "config": _config_echo(cfg),
+            "workers": workers,
+            "total_seconds": result.total_seconds,
+            "per_layer_seconds": result.per_layer_seconds,
+            "realized_density_mean": result.realized_density_mean,
+            "outputs": {key: str(out / name) for key, name in outputs.items()},
+        }
+        (stage / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="ascii")
+        if out.exists():
+            for name in names:
+                os.replace(stage / name, out / name)
+            stage.rmdir()
+        else:
+            stage.rename(out)
+    except BaseException:
+        shutil.rmtree(stage, ignore_errors=True)
+        raise
+    for name in names:
+        print(f"wrote {out / name}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -371,6 +371,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     except (KnockonError, OSError, MemoryError) as exc:
         print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
         return EXIT_RUNTIME
 
 

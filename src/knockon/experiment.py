@@ -13,8 +13,11 @@ count.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
+from functools import partial
 from time import perf_counter
 from typing import Callable
 
@@ -255,8 +258,6 @@ def _replicate_grid(
         density = topology.n_edges / (cfg.n_banks * (cfg.n_banks - 1))
         return counts, density, np.diff(clock), results
     except KnockonError as exc:
-        if isinstance(exc, ReplicationError):
-            raise
         raise ReplicationError(stream_index, str(exc)) from exc
 
 
@@ -283,13 +284,35 @@ def _load_external(cfg: ScenarioConfig) -> Topology | None:
 
 
 def _sweep_block(
-    cfg: ScenarioConfig, external: Topology | None, start: int, stop: int
-) -> list[tuple[int, np.ndarray, float, np.ndarray]]:
-    out = []
-    for k in range(start, stop):
-        counts, density, seconds, _ = _replicate_grid(cfg, external, k)
-        out.append((k, counts, density, seconds))
-    return out
+    cfg: ScenarioConfig, external: Topology | None, start: int, stop: int, trace: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
+    """Replications ``start`` to ``stop - 1``: their (ratio x replication)
+    default counts, realized densities, seconds per layer of :data:`LAYERS`
+    summed over the span and, with ``trace``, one dict per default event in
+    stream order."""
+    grid = cfg.capital_ratio_grid
+    counts = np.zeros((len(grid), stop - start), dtype=np.int64)
+    densities = np.zeros(stop - start)
+    seconds = np.zeros(len(LAYERS))
+    events: list[dict] = []
+    for col, k in enumerate(range(start, stop)):
+        counts[:, col], densities[col], secs, results = _replicate_grid(
+            cfg, external, k, collect_results=trace
+        )
+        seconds += secs
+        for ratio, outcome in zip(grid, results or ()):
+            events.extend(
+                {
+                    "stream_index": k,
+                    "R": ratio,
+                    "round": event.round,
+                    "bank": event.bank,
+                    "distress": event.distress,
+                    "transmitted": event.transmitted,
+                }
+                for event in outcome.defaults
+            )
+    return counts, densities, seconds, events
 
 
 def sweep(
@@ -300,23 +323,26 @@ def sweep(
 ) -> SweepResult:
     """Run the full Monte Carlo sweep.
 
+    Replications run in blocks of consecutive stream indices: in this
+    process for one worker, in a process pool for more. Either way the
+    results are taken in block order.
+
     Args:
         cfg: the scenario; ``cfg.validate()`` is called first.
-        workers: process count. Any value yields bit-identical statistics;
-            work is split over stream-index blocks and reassembled in order.
+        workers: process count. Any value yields bit-identical statistics
+            and trace events.
         keep_samples: retain the raw (ratio x replication) default counts.
-        trace_sink: optional callable receiving one dict per default event
-            (requires workers == 1).
+        trace_sink: optional callable receiving one dict per default event,
+            in stream order, as each block completes.
 
     Raises:
-        ReplicationError: a replication failed; the lowest failing stream
-            index is reported and the sweep is aborted.
+        ReplicationError: a replication failed, or a worker process died;
+            the lowest failing stream index (or the first of the dead
+            worker's block) is reported and the sweep is aborted.
     """
     cfg.validate()
     if workers < 1:
         raise InvalidParameterError(f"workers must be at least 1, got {workers}")
-    if trace_sink is not None and workers != 1:
-        raise InvalidParameterError("trace collection requires workers=1")
 
     wall_start = perf_counter()
     external = _load_external(cfg)
@@ -325,41 +351,32 @@ def sweep(
     samples = np.zeros((len(grid), reps), dtype=np.int64)
     densities = np.zeros(reps)
     seconds = np.zeros(len(LAYERS))
+    trace = trace_sink is not None
 
-    if workers == 1:
-        for k in range(reps):
-            counts, density, secs, results = _replicate_grid(
-                cfg, external, k, collect_results=trace_sink is not None
-            )
-            samples[:, k] = counts
-            densities[k] = density
+    block = max(1, math.ceil(reps / (workers * 4)))
+    spans = [(s, min(s + block, reps)) for s in range(0, reps, block)]
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        if pool is None:
+            jobs = deque(partial(_sweep_block, cfg, external, a, b, trace) for a, b in spans)
+        else:
+            jobs = deque(pool.submit(_sweep_block, cfg, external, a, b, trace).result for a, b in spans)
+        for start, stop in spans:
+            # Popped, so that no finished block's trace events stay referenced.
+            job = jobs.popleft()
+            try:
+                counts, dens, secs, events = job()
+            except BrokenProcessPool:
+                raise ReplicationError(start, "worker process died") from None
+            samples[:, start:stop] = counts
+            densities[start:stop] = dens
             seconds += secs
-            if trace_sink is not None and results is not None:
-                for ratio, outcome in zip(grid, results):
-                    for event in outcome.defaults:
-                        trace_sink(
-                            {
-                                "stream_index": k,
-                                "R": ratio,
-                                "round": event.round,
-                                "bank": event.bank,
-                                "distress": event.distress,
-                                "transmitted": event.transmitted,
-                            }
-                        )
-    else:
-        block = max(1, math.ceil(reps / (workers * 4)))
-        spans = [(s, min(s + block, reps)) for s in range(0, reps, block)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_block, cfg, external, start, stop)
-                for start, stop in spans
-            ]
-            for future in futures:
-                for k, counts, density, secs in future.result():
-                    samples[:, k] = counts
-                    densities[k] = density
-                    seconds += secs
+            for event in events:
+                trace_sink(event)
+    finally:
+        if pool is not None:
+            # After a failure, queued blocks are dropped rather than run.
+            pool.shutdown(cancel_futures=True)
 
     records = []
     for idx, ratio in enumerate(grid):

@@ -31,6 +31,10 @@ EXTERNAL = "external"
 
 _KINDS = (HOMOGENEOUS, HETEROGENEOUS, EXTERNAL)
 
+#: Version of the generators' draw order, recorded in every sweep manifest.
+#: Any change that alters a topology drawn from a given stream bumps it.
+GENERATOR_VERSION = 1
+
 # Attachment weight of an existing vertex with degree k is
 # max(k + _ATTRACTIVENESS - m_mean, _ATTACH_FLOOR), where m_mean is the mean
 # link count per arriving vertex. With a constant attractiveness the tail

@@ -12,6 +12,9 @@ equal topologies and leave the Generator at the same point. They read the
 tuning constants from ``knockon.netgen`` at call time, so a test that
 patches one (such as ``_REDRAW_LIMIT``) patches both sides.
 
+``ref_transmit_shares`` is the pro-rata split of one defaulter's residual
+over its creditors, which the cascade engine performs in bulk.
+
 ``ref_replicate_grid`` is the original per-ratio replication, with the
 original ``apply_surcharge`` and one-defaulter-at-a-time ``propagate`` loop:
 one sheet, one shock and one cascade per capital ratio. The batched sweep
@@ -21,7 +24,6 @@ must give equal default counts and bit-equal default events.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -207,6 +209,23 @@ def ref_gen_preferential_attachment(n_banks, density, rng):
     return netgen.Topology(n, edge_array, netgen.HETEROGENEOUS)
 
 
+def ref_transmit_shares(weights, debtor: int, residual: float) -> dict[int, float]:
+    """Pro-rata split of ``residual`` across the debtor's creditors.
+
+    Creditor j receives ``amount(j, debtor) / borrowings(debtor) * residual``.
+    Returns an empty mapping when the debtor has no borrowings.
+    """
+    if residual < 0.0:
+        raise InvalidParameterError(f"residual must be non-negative, got {residual}")
+    total = float(weights.borrowings[debtor])
+    if total == 0.0:
+        return {}
+    creditors, amounts = weights.creditors_of(debtor)
+    return {
+        int(c): float(a) / total * residual for c, a in zip(creditors, amounts)
+    }
+
+
 def ref_apply_surcharge(sheets, surcharge_ratio, biggest_fraction):
     """Extra equity on the largest banks, one capital ratio at a time."""
     ratio = sheets.constants.capital_ratio
@@ -239,11 +258,7 @@ def ref_apply_surcharge(sheets, surcharge_ratio, biggest_fraction):
         liabilities=sheets.liabilities + increment,
         surcharge=increment,
         total_degree=sheets.total_degree.copy(),
-        constants=replace(
-            sheets.constants,
-            surcharge_ratio=float(surcharge_ratio),
-            biggest_fraction=float(biggest_fraction),
-        ),
+        constants=sheets.constants,
     )
 
 

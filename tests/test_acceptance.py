@@ -499,8 +499,10 @@ def test_acceptance_10_worker_determinism():
         master_seed=MASTER_SEED,
         loss_rule=LossRule.CAPPED,
     )
+    traces = [[], [], []]
     outputs = [
-        sweep(cfg, workers=w, keep_samples=True) for w in (1, 4, 16)
+        sweep(cfg, workers=w, keep_samples=True, trace_sink=events.append)
+        for w, events in zip((1, 4, 16), traces)
     ]
     csv_ok = (
         outputs[0].to_csv() == outputs[1].to_csv() == outputs[2].to_csv()
@@ -510,6 +512,11 @@ def test_acceptance_10_worker_determinism():
         == outputs[1].raw_samples_csv()
         == outputs[2].raw_samples_csv()
     )
-    ok = csv_ok and raw_ok
-    report("10 worker determinism", ok, "identical CSV bytes for workers 1/4/16")
+    trace_ok = len(traces[0]) > 0 and traces[0] == traces[1] == traces[2]
+    ok = csv_ok and raw_ok and trace_ok
+    report(
+        "10 worker determinism",
+        ok,
+        f"identical CSV bytes and {len(traces[0])} trace events for workers 1/4/16",
+    )
     assert ok

@@ -1,5 +1,9 @@
+import errno
 import json
+import multiprocessing
+import os
 import platform
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,6 +29,11 @@ Q = 0.1
 r_grid = 0.01:0.10:0.01
 seed = 42
 """
+
+
+def staging_dirs(out_dir):
+    """Staging directories a sweep into ``out_dir`` left behind."""
+    return list(out_dir.parent.glob(f".{out_dir.name}.*"))
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -226,10 +235,16 @@ class TestSweepCommand:
         assert all(s >= 0.0 for s in manifest["per_layer_seconds"].values())
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
-        from pathlib import Path
-
+        assert manifest["generator_version"] == 1
+        assert manifest["total_seconds"] > 0.0
         for path in manifest["outputs"].values():
+            assert Path(path).parent == out_dir
             assert Path(path).exists()
+        assert staging_dirs(out_dir) == []
+        # the renamed staging directory has the mode mkdir would have given
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out_dir.stat().st_mode & 0o777 == 0o777 & ~umask
 
     def test_raw_samples_flag(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SWEEP_CFG)
@@ -254,13 +269,30 @@ class TestSweepCommand:
         event = json.loads(lines[0])
         assert {"stream_index", "R", "round", "bank", "distress", "transmitted"} == set(event)
 
-    def test_trace_with_workers_rejected(self, tmp_path, capsys):
+    def test_trace_identical_across_workers(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SWEEP_CFG)
-        code = main([
-            "sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x"),
-            "--trace", "--workers", "2",
-        ])
-        assert code == 2
+        d1, d2 = tmp_path / "w1", tmp_path / "w2"
+        for out_dir, workers in ((d1, "1"), (d2, "2")):
+            code = main([
+                "sweep", "--config", str(cfg_path), "--out", str(out_dir),
+                "--trace", "--workers", workers,
+            ])
+            assert code == 0
+        trace = (d1 / "trace.ndjson").read_bytes()
+        assert trace
+        assert trace == (d2 / "trace.ndjson").read_bytes()
+
+    def test_existing_directory_receives_files(self, tmp_path, capsys):
+        out_dir = tmp_path / "x"
+        out_dir.mkdir()
+        (out_dir / "sweep.csv").write_text("earlier run\n")
+        (out_dir / "notes.txt").write_text("kept\n")
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, SWEEP_CFG)), "--out", str(out_dir)])
+        assert code == 0
+        assert sorted(f.name for f in out_dir.iterdir()) == ["manifest.json", "notes.txt", "sweep.csv"]
+        assert (out_dir / "sweep.csv").read_text().startswith("R,mean")
+        assert (out_dir / "notes.txt").read_text() == "kept\n"
+        assert staging_dirs(out_dir) == []
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SWEEP_CFG.replace("Q = 0.1", "Q = 0.9"))
@@ -318,6 +350,71 @@ class TestSweepCommand:
         assert code == 3
         assert [f.name for f in out_dir.iterdir()] == ["sweep.csv"]
         assert (out_dir / "sweep.csv").read_text() == "earlier run\n"
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched generator reaches the workers only through fork",
+    )
+    def test_dead_worker_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        def die(*args):
+            os._exit(1)
+
+        monkeypatch.setattr("knockon.experiment.gen_erdos_renyi", die)
+        out_dir = tmp_path / "x"
+        code = main([
+            "sweep", "--config", str(write_cfg(tmp_path, SWEEP_CFG)), "--out", str(out_dir),
+            "--workers", "2", "--trace",
+        ])
+        assert code == 3
+        assert "stream 0: worker process died" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert staging_dirs(out_dir) == []
+
+    def test_interrupt_exits_cleanly(self, tmp_path, capsys, monkeypatch):
+        def interrupt(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr("knockon.experiment.gen_erdos_renyi", interrupt)
+        out_dir = tmp_path / "x"
+        try:
+            code = main([
+                "sweep", "--config", str(write_cfg(tmp_path, SWEEP_CFG)), "--out", str(out_dir),
+                "--trace",
+            ])
+        except KeyboardInterrupt:
+            pytest.fail("KeyboardInterrupt escaped main()")
+        assert code == 3
+        assert "error: interrupted" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert staging_dirs(out_dir) == []
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_full_disk_leaves_output_unchanged(self, tmp_path, capsys, monkeypatch, existing):
+        write_text = Path.write_text
+
+        def full_disk(self, *args, **kwargs):
+            if self.name == "manifest.json":
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(self))
+            return write_text(self, *args, **kwargs)
+
+        out_dir = tmp_path / "x"
+        if existing:
+            out_dir.mkdir()
+            (out_dir / "sweep.csv").write_text("earlier run\n")
+        cfg_path = write_cfg(tmp_path, SWEEP_CFG)
+        monkeypatch.setattr(Path, "write_text", full_disk)
+        code = main([
+            "sweep", "--config", str(cfg_path), "--out", str(out_dir),
+            "--raw-samples", "--trace",
+        ])
+        assert code == 3
+        assert "No space left on device" in capsys.readouterr().err
+        if existing:
+            assert [f.name for f in out_dir.iterdir()] == ["sweep.csv"]
+            assert (out_dir / "sweep.csv").read_text() == "earlier run\n"
+        else:
+            assert not out_dir.exists()
+        assert staging_dirs(out_dir) == []
 
     def test_worker_csv_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SWEEP_CFG)

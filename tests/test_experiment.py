@@ -289,9 +289,25 @@ class TestSweep:
             sample
         )
 
-    def test_trace_requires_single_worker(self):
-        with pytest.raises(InvalidParameterError, match="workers"):
-            sweep(small_config(), workers=2, trace_sink=lambda e: None)
+    def test_trace_events_identical_across_worker_counts(self):
+        cfg = small_config(replications=30)
+        traces = {1: [], 3: []}
+        for workers, events in traces.items():
+            sweep(cfg, workers=workers, trace_sink=events.append)
+        assert traces[1]
+        assert traces[1] == traces[3]
+        streams = [event["stream_index"] for event in traces[1]]
+        assert streams == sorted(streams)
+
+    def test_single_worker_starts_no_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 must not start a process pool")
+
+        monkeypatch.setattr("knockon.experiment.ProcessPoolExecutor", no_pool)
+        events = []
+        result = sweep(small_config(replications=10), keep_samples=True, trace_sink=events.append)
+        assert result.samples.shape == (3, 10)
+        assert events
 
     def test_paired_counts_non_increasing(self):
         cfg = small_config(replications=60)
