@@ -6,7 +6,7 @@ distribution of knock-on default counts over large Monte Carlo ensembles,
 with or without a capital surcharge on the biggest banks.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .balance import (
     BalanceSheetSet,
@@ -42,7 +42,6 @@ from .experiment import (
     SweepRecord,
     SweepResult,
     percentile,
-    run_replication,
     sweep,
 )
 from .netgen import (
@@ -91,7 +90,6 @@ __all__ = [
     "percentile",
     "propagate",
     "read_edge_list",
-    "run_replication",
     "sweep",
     "validate",
     "write_edge_list",

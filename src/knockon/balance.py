@@ -151,7 +151,7 @@ def compute_weights(
     loans = np.bincount(creditor, weights=amounts, minlength=n)
     borrowings = np.bincount(debtor, weights=amounts, minlength=n)
 
-    order = np.lexsort((creditor, debtor))
+    order = np.argsort(debtor * n + creditor)
     counts = np.bincount(debtor, minlength=n)
     debtor_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 

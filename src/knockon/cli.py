@@ -32,7 +32,7 @@ import platform
 import shutil
 import sys
 import tempfile
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -271,8 +271,8 @@ def cmd_sweep(
     Every file is written into a staging directory next to ``out_dir``, the
     trace while the sweep runs. Once all are complete the staging directory
     is renamed to ``out_dir`` or, if that exists, its files are moved in. On
-    any failure the staging directory is removed and ``out_dir`` is left as
-    it was.
+    any failure the staging directory and any parent directories this call
+    created are removed, and ``out_dir`` is left as it was.
     """
     out = Path(out_dir)
     outputs = {"curves_csv": "sweep.csv"}
@@ -281,9 +281,16 @@ def cmd_sweep(
     if trace:
         outputs["trace_ndjson"] = "trace.ndjson"
     names = [*outputs.values(), "manifest.json"]
-    out.parent.mkdir(parents=True, exist_ok=True)
-    stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    # Parent directories this call creates, deepest first, removed on failure.
+    created = []
+    for parent in (out.parent, *out.parent.parents):
+        if parent.exists():
+            break
+        created.append(parent)
+    stage = None
     try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        stage = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
         # mkdtemp makes the directory private; give it the mode mkdir would.
         umask = os.umask(0)
         os.umask(umask)
@@ -316,7 +323,12 @@ def cmd_sweep(
         else:
             stage.rename(out)
     except BaseException:
-        shutil.rmtree(stage, ignore_errors=True)
+        if stage is not None:
+            shutil.rmtree(stage, ignore_errors=True)
+        for parent in created:
+            # rmdir removes only empty directories, so nothing else is lost.
+            with suppress(OSError):
+                parent.rmdir()
         raise
     for name in names:
         print(f"wrote {out / name}")

@@ -16,7 +16,7 @@ import math
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
 from typing import Callable
@@ -259,17 +259,6 @@ def _replicate_grid(
         return counts, density, np.diff(clock), results
     except KnockonError as exc:
         raise ReplicationError(stream_index, str(exc)) from exc
-
-
-def run_replication(cfg: ScenarioConfig, capital_ratio: float, stream_index: int) -> int:
-    """Run one replication at a single capital ratio and return the default
-    count. Equals the value the full-grid sweep reports for the same stream
-    index at the same ratio."""
-    single = replace(cfg, capital_ratio_grid=(float(capital_ratio),))
-    single.validate()
-    external = _load_external(single)
-    counts, _, _, _ = _replicate_grid(single, external, stream_index)
-    return int(counts[0])
 
 
 def _load_external(cfg: ScenarioConfig) -> Topology | None:

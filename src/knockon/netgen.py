@@ -33,7 +33,7 @@ _KINDS = (HOMOGENEOUS, HETEROGENEOUS, EXTERNAL)
 
 #: Version of the generators' draw order, recorded in every sweep manifest.
 #: Any change that alters a topology drawn from a given stream bumps it.
-GENERATOR_VERSION = 1
+GENERATOR_VERSION = 2
 
 # Attachment weight of an existing vertex with degree k is
 # max(k + _ATTRACTIVENESS - m_mean, _ATTACH_FLOOR), where m_mean is the mean
@@ -46,10 +46,9 @@ _ATTRACTIVENESS = 4.0
 _ATTACH_FLOOR = 1e-9
 _REDRAW_LIMIT = 512
 
-# Uniforms are drawn at most this many at a time, which bounds the
-# homogeneous generator's memory whatever n(n-1) is. Consecutive
-# ``gen.random(k)`` calls yield the same doubles as one call, so no result
-# depends on it.
+# The most gaps the homogeneous generator draws in one block, which bounds
+# its memory whatever n(n-1) is, and the chunk in which the
+# preferential-attachment generator replays its uniforms.
 _CHUNK = 1 << 16
 # How far the preferential-attachment generator draws ahead of its needs.
 _BLOCK = 4096
@@ -124,11 +123,16 @@ class Topology:
                 raise InvalidParameterError("edge endpoint outside 0..n_banks-1")
             if np.any(edges[:, 0] == edges[:, 1]):
                 raise InvalidParameterError("self-loops are not allowed")
-            order = np.lexsort((edges[:, 1], edges[:, 0]))
-            edges = edges[order]
-            dup = np.all(edges[1:] == edges[:-1], axis=1)
-            if np.any(dup):
-                raise InvalidParameterError("duplicate edges are not allowed")
+            # One int64 key per edge orders edges as (creditor, debtor) pairs.
+            key = edges[:, 0] * n + edges[:, 1]
+            if np.all(key[1:] > key[:-1]):
+                # Already canonical; copied so the caller's array is not shared.
+                edges = edges.copy()
+            else:
+                order = np.argsort(key)
+                if np.any(np.diff(key[order]) == 0):
+                    raise InvalidParameterError("duplicate edges are not allowed")
+                edges = edges[order]
         object.__setattr__(self, "n_banks", n)
         object.__setattr__(self, "edges", edges)
 
@@ -177,11 +181,19 @@ def gen_erdos_renyi(
 ) -> Topology:
     """Sample a homogeneous topology: every ordered pair independently.
 
-    The ordered pairs are visited in row-major order (creditor, then debtor
-    skipping the creditor itself), one uniform each, drawn in chunks of
-    ``_CHUNK``. That draw order is part of the reproducibility contract: it
-    fixes the topology a seed yields and the point at which the generator
-    is left for later draws.
+    The ordered pairs are numbered in row-major order (creditor, then
+    debtor skipping the creditor itself). Rather than one uniform per pair,
+    the gaps between consecutive included pairs are drawn, each geometric
+    with success probability ``density`` (Batagelj and Brandes, "Efficient
+    generation of large random networks", Phys. Rev. E 71, 036113, 2005),
+    so the cost is about one draw per edge. The draw order is part of the
+    reproducibility contract (generator version 2). While ``left > 0``
+    pairs remain after the last included one, ``gen.geometric(density, k)``
+    draws a block of ``k = min(left, _CHUNK, ceil(mean + 4 sqrt(mean)) + 1)``
+    gaps, where ``mean = density * left``. Their running sum from the last
+    included pair gives the next pairs; the gaps past the last pair are
+    discarded. Nothing is drawn at density 0. The generator is left just
+    past the last block.
 
     Args:
         n_banks: number of banks, at least 2.
@@ -198,10 +210,24 @@ def gen_erdos_renyi(
         raise InvalidParameterError(f"density must lie in [0, 1], got {density}")
     gen = _as_generator(rng)
     total = n * (n - 1)
-    flat = np.concatenate([
-        np.flatnonzero(gen.random(min(_CHUNK, total - start)) < density) + start
-        for start in range(0, total, _CHUNK)
-    ])
+    found = [np.empty(0, dtype=np.int64)]
+    last = -1
+    while density > 0.0 and last < total - 1:
+        left = total - 1 - last
+        # The expected edge count among the pairs left plus four standard
+        # deviations: one block almost always reaches the last pair.
+        mean = density * left
+        block = min(left, _CHUNK, math.ceil(mean + 4.0 * math.sqrt(mean)) + 1)
+        gaps = gen.geometric(density, block)
+        # A tiny density draws gaps near 2**63. Any gap above n(n-1) passes
+        # the last pair, so clipping it to n(n-1) + 1 changes no pair and
+        # keeps the running sum from wrapping.
+        np.minimum(gaps, total + 1, out=gaps)
+        flat = np.cumsum(gaps)
+        flat += last
+        found.append(flat[: flat.searchsorted(total)])
+        last = int(flat[-1])
+    flat = np.concatenate(found)
     creditor = flat // (n - 1)
     offset = flat % (n - 1)
     debtor = offset + (offset >= creditor)

@@ -5,12 +5,15 @@ floats, recomputing totals by brute force each round, so the fast array
 engine is checked against an implementation that shares none of its code
 paths.
 
-The two topology generators at the end are the original one-draw-at-a-time
-versions of ``knockon.netgen``'s generators. Their draw order defines the
-random stream every seed reproduces, so the optimised generators must yield
-equal topologies and leave the Generator at the same point. They read the
-tuning constants from ``knockon.netgen`` at call time, so a test that
-patches one (such as ``_REDRAW_LIMIT``) patches both sides.
+The two topology generators walk ``knockon.netgen``'s draw order one
+decision at a time: one geometric gap per homogeneous edge, one scalar
+uniform per preferential-attachment decision. That draw order defines the
+random stream every seed reproduces, so the vectorised generators must
+yield equal topologies and leave the Generator at the same point. They read
+the tuning constants from ``knockon.netgen`` at call time, so a test that
+patches one (such as ``_REDRAW_LIMIT`` or ``_CHUNK``) patches both sides.
+``ref_canonical_edges`` and ``ref_debtor_order`` are the ``np.lexsort``
+orders the single-key sorts in ``Topology`` and ``compute_weights`` replace.
 
 ``ref_transmit_shares`` is the pro-rata split of one defaulter's residual
 over its creditors, which the cascade engine performs in bulk.
@@ -107,7 +110,14 @@ def ref_cascade(n, weights, external, worth, initial_bank, rule):
 
 
 def ref_gen_erdos_renyi(n_banks, density, rng):
-    """Homogeneous topology from a single array of n(n-1) uniforms."""
+    """Homogeneous topology walked one geometric gap at a time.
+
+    Pairs are numbered row-major (creditor, then debtor skipping the
+    creditor). Gaps are drawn in blocks of min(pairs left, ``_CHUNK``,
+    ceil(mean + 4 sqrt(mean)) + 1), mean = density * pairs left, while pairs
+    remain after the last included one; the rest of a block that passes the
+    last pair is discarded. Python integers cannot wrap, so the gaps are not
+    clipped."""
     n = int(n_banks)
     if n < 2:
         raise InvalidParameterError(f"n_banks must be at least 2, got {n_banks}")
@@ -115,11 +125,19 @@ def ref_gen_erdos_renyi(n_banks, density, rng):
         raise InvalidParameterError(f"density must lie in [0, 1], got {density}")
     gen = netgen._as_generator(rng)
     total = n * (n - 1)
-    flat = np.flatnonzero(gen.random(total) < density)
-    creditor = flat // (n - 1)
-    offset = flat % (n - 1)
-    debtor = offset + (offset >= creditor)
-    return netgen.Topology(n, np.column_stack([creditor, debtor]), netgen.HOMOGENEOUS)
+    edges = []
+    pos = -1
+    while density > 0.0 and pos < total - 1:
+        left = total - 1 - pos
+        mean = density * left
+        block = min(left, netgen._CHUNK, math.ceil(mean + 4.0 * math.sqrt(mean)) + 1)
+        for gap in gen.geometric(density, block).tolist():
+            pos += gap
+            if pos >= total:
+                break
+            creditor, offset = divmod(pos, n - 1)
+            edges.append((creditor, offset if offset < creditor else offset + 1))
+    return netgen.Topology(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), netgen.HOMOGENEOUS)
 
 
 def ref_gen_preferential_attachment(n_banks, density, rng):
@@ -207,6 +225,17 @@ def ref_gen_preferential_attachment(n_banks, density, rng):
         np.asarray(edges, dtype=np.int64) if edges else np.empty((0, 2), dtype=np.int64)
     )
     return netgen.Topology(n, edge_array, netgen.HETEROGENEOUS)
+
+
+def ref_canonical_edges(edges):
+    """(creditor, debtor) pairs in lexicographic order, by ``np.lexsort``."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return edges[np.lexsort((edges[:, 1], edges[:, 0]))]
+
+
+def ref_debtor_order(creditor, debtor):
+    """Edge order of the debtor-major CSR: by debtor, then creditor."""
+    return np.lexsort((creditor, debtor))
 
 
 def ref_transmit_shares(weights, debtor: int, residual: float) -> dict[int, float]:

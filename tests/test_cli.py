@@ -235,7 +235,7 @@ class TestSweepCommand:
         assert all(s >= 0.0 for s in manifest["per_layer_seconds"].values())
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
-        assert manifest["generator_version"] == 1
+        assert manifest["generator_version"] == 2
         assert manifest["total_seconds"] > 0.0
         for path in manifest["outputs"].values():
             assert Path(path).parent == out_dir
@@ -281,6 +281,12 @@ class TestSweepCommand:
         trace = (d1 / "trace.ndjson").read_bytes()
         assert trace
         assert trace == (d2 / "trace.ndjson").read_bytes()
+
+    def test_missing_parent_directories_are_created(self, tmp_path, capsys):
+        out_dir = tmp_path / "new" / "deeper" / "run"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, SWEEP_CFG)), "--out", str(out_dir)])
+        assert code == 0
+        assert sorted(f.name for f in out_dir.iterdir()) == ["manifest.json", "sweep.csv"]
 
     def test_existing_directory_receives_files(self, tmp_path, capsys):
         out_dir = tmp_path / "x"
@@ -360,33 +366,34 @@ class TestSweepCommand:
             os._exit(1)
 
         monkeypatch.setattr("knockon.experiment.gen_erdos_renyi", die)
-        out_dir = tmp_path / "x"
-        code = main([
-            "sweep", "--config", str(write_cfg(tmp_path, SWEEP_CFG)), "--out", str(out_dir),
-            "--workers", "2", "--trace",
-        ])
-        assert code == 3
-        assert "stream 0: worker process died" in capsys.readouterr().err
-        assert not out_dir.exists()
-        assert staging_dirs(out_dir) == []
+        cfg_path = write_cfg(tmp_path, SWEEP_CFG)
+        for out_dir in (tmp_path / "x", tmp_path / "new" / "deeper" / "x"):
+            code = main([
+                "sweep", "--config", str(cfg_path), "--out", str(out_dir),
+                "--workers", "2", "--trace",
+            ])
+            assert code == 3
+            assert "stream 0: worker process died" in capsys.readouterr().err
+            assert not out_dir.exists()
+            assert staging_dirs(out_dir) == []
+        assert not (tmp_path / "new").exists()
 
     def test_interrupt_exits_cleanly(self, tmp_path, capsys, monkeypatch):
         def interrupt(*args):
             raise KeyboardInterrupt
 
         monkeypatch.setattr("knockon.experiment.gen_erdos_renyi", interrupt)
-        out_dir = tmp_path / "x"
-        try:
-            code = main([
-                "sweep", "--config", str(write_cfg(tmp_path, SWEEP_CFG)), "--out", str(out_dir),
-                "--trace",
-            ])
-        except KeyboardInterrupt:
-            pytest.fail("KeyboardInterrupt escaped main()")
-        assert code == 3
-        assert "error: interrupted" in capsys.readouterr().err
-        assert not out_dir.exists()
-        assert staging_dirs(out_dir) == []
+        cfg_path = write_cfg(tmp_path, SWEEP_CFG)
+        for out_dir in (tmp_path / "x", tmp_path / "new" / "deeper" / "x"):
+            try:
+                code = main(["sweep", "--config", str(cfg_path), "--out", str(out_dir), "--trace"])
+            except KeyboardInterrupt:
+                pytest.fail("KeyboardInterrupt escaped main()")
+            assert code == 3
+            assert "error: interrupted" in capsys.readouterr().err
+            assert not out_dir.exists()
+            assert staging_dirs(out_dir) == []
+        assert not (tmp_path / "new").exists()
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_full_disk_leaves_output_unchanged(self, tmp_path, capsys, monkeypatch, existing):
@@ -415,6 +422,15 @@ class TestSweepCommand:
         else:
             assert not out_dir.exists()
         assert staging_dirs(out_dir) == []
+
+        # The parent directories the run created are removed, and only those.
+        (tmp_path / "kept").mkdir()
+        for out_dir in (tmp_path / "new" / "deeper" / "x", tmp_path / "kept" / "new" / "x"):
+            code = main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)])
+            assert code == 3
+            assert "No space left on device" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+        assert [f.name for f in tmp_path.joinpath("kept").iterdir()] == []
 
     def test_worker_csv_identical(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SWEEP_CFG)

@@ -10,10 +10,10 @@ from knockon import (
     SurchargePolicy,
     Topology,
     percentile,
-    run_replication,
     sweep,
     write_edge_list,
 )
+from knockon import experiment
 from knockon.experiment import RAW_CSV_HEADER, SWEEP_CSV_HEADER, _replicate_grid
 from reference_impl import ref_replicate_grid
 
@@ -108,18 +108,24 @@ class TestConfigValidation:
 
 
 class TestRunReplication:
+    """One replication, seen through ``sweep(..., keep_samples=True)``."""
+
     def test_deterministic(self):
-        cfg = small_config()
-        a = run_replication(cfg, 0.05, 7)
-        b = run_replication(cfg, 0.05, 7)
-        assert a == b
+        cfg = small_config(replications=8)
+        a = sweep(cfg, keep_samples=True).samples
+        b = sweep(cfg, keep_samples=True).samples
+        assert np.array_equal(a, b)
 
     def test_matches_sweep_samples(self):
+        # A replication's count at one ratio does not depend on the rest of
+        # the grid: a one-ratio sweep gives the full sweep's row.
         cfg = small_config(replications=12)
         result = sweep(cfg, keep_samples=True)
         for idx, ratio in enumerate(cfg.capital_ratio_grid):
-            for k in (0, 5, 11):
-                assert run_replication(cfg, ratio, k) == result.samples[idx, k]
+            single = sweep(
+                small_config(replications=12, capital_ratio_grid=(ratio,)), keep_samples=True
+            )
+            assert np.array_equal(single.samples[0], result.samples[idx])
 
     def test_two_bank_external_forced_edge(self, tmp_path):
         # single-edge market: striking the borrower fells both banks
@@ -132,15 +138,23 @@ class TestRunReplication:
             capital_ratio_grid=(0.05,),
             replications=8,
         )
-        values = [run_replication(cfg, 0.05, k) for k in range(8)]
+        values = sweep(cfg, keep_samples=True).samples[0].tolist()
         assert set(values) <= {1, 2}
         # replications that strike bank 1 (the borrower) default both banks
         assert 2 in values
 
-    def test_error_carries_stream_index(self):
-        cfg = small_config(density=0.0)
+    def test_error_carries_stream_index(self, monkeypatch):
+        # One worker runs the streams in order; only stream 3 has no edges.
+        draw = experiment.gen_erdos_renyi
+        streams = iter(range(8))
+
+        def edgeless_at_3(n, density, gen):
+            top = draw(n, density, gen)
+            return Topology(n, top.edges[:0], top.kind) if next(streams) == 3 else top
+
+        monkeypatch.setattr(experiment, "gen_erdos_renyi", edgeless_at_3)
         with pytest.raises(ReplicationError) as err:
-            run_replication(cfg, 0.05, 3)
+            sweep(small_config(replications=8))
         assert err.value.stream_index == 3
         assert "interbank" in str(err.value)
 

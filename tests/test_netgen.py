@@ -1,3 +1,5 @@
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +12,7 @@ from knockon import (
     ParseError,
     RngStream,
     Topology,
+    compute_weights,
     degree_stats,
     gen_erdos_renyi,
     gen_preferential_attachment,
@@ -17,10 +20,45 @@ from knockon import (
     write_edge_list,
 )
 from knockon import netgen
-from reference_impl import ref_gen_erdos_renyi, ref_gen_preferential_attachment
+from reference_impl import (
+    ref_canonical_edges,
+    ref_debtor_order,
+    ref_gen_erdos_renyi,
+    ref_gen_preferential_attachment,
+)
 
 ER_MEAN_EDGES = 500 * 499 * 0.005          # 1247.5
 ER_SIGMA = (500 * 499 * 0.005 * 0.995) ** 0.5
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs longer than ``seconds``."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def shuffled(edges, seed):
+    return edges[np.random.default_rng(seed).permutation(len(edges))]
+
+
+def pair_index(topology):
+    """Row-major number of each edge among the n(n-1) ordered pairs."""
+    n = topology.n_banks
+    creditor, debtor = topology.edges[:, 0], topology.edges[:, 1]
+    return creditor * (n - 1) + debtor - (debtor > creditor)
 
 
 class TestTopologyValidation:
@@ -49,6 +87,88 @@ class TestTopologyValidation:
     def test_both_directions_may_coexist(self):
         t = Topology(2, np.array([[0, 1], [1, 0]]), "external")
         assert t.n_edges == 2
+
+    @pytest.mark.parametrize(
+        "edges, message",
+        [
+            ([[0, 1], [1, 3]], "endpoint"),
+            ([[-1, 1], [0, 1]], "endpoint"),
+            ([[0, 1], [2, 2]], "self-loop"),
+            ([[2, 2], [0, 1]], "self-loop"),
+            # endpoints are checked first, then self-loops, then duplicates
+            ([[1, 1], [0, 3]], "endpoint"),
+            ([[0, 1], [0, 1], [2, 2]], "self-loop"),
+        ],
+    )
+    def test_error_messages(self, edges, message):
+        with pytest.raises(InvalidParameterError, match=message):
+            Topology(3, np.array(edges), "external")
+
+    def test_edges_do_not_alias_input(self):
+        edges = np.array([[0, 1], [1, 2]], dtype=np.int64)
+        t = Topology(3, edges, "external")
+        edges[0] = [2, 0]
+        assert t.edges.tolist() == [[0, 1], [1, 2]]
+
+
+def external_edges(n, m, seed):
+    """Up to ``m`` distinct random non-loop pairs, in random order."""
+    gen = np.random.default_rng(seed)
+    pairs = gen.integers(0, n, size=(m, 2))
+    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)
+    return shuffled(pairs, seed)
+
+
+class TestCanonicalKey:
+    """Topology sorts on one int64 key per edge and compute_weights on
+    another; both must give the np.lexsort orders they replace."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_erdos_renyi(300, 0.05, RngStream(4, 0)),
+            lambda: gen_preferential_attachment(300, 0.05, RngStream(4, 1)),
+            lambda: gen_preferential_attachment(30, 0.7, RngStream(4, 2)),
+            lambda: Topology(300, external_edges(300, 4000, 5), "external"),
+            lambda: Topology(2, np.array([[1, 0], [0, 1]]), "external"),
+        ],
+        ids=["homogeneous", "heterogeneous", "reciprocal", "external", "two-bank"],
+    )
+    def test_shuffled_edges_match_lexsort(self, make):
+        top = make()
+        assert np.array_equal(top.edges, ref_canonical_edges(top.edges))
+        for seed in range(4):
+            edges = shuffled(top.edges, seed)
+            again = Topology(top.n_banks, edges, top.kind)
+            assert np.array_equal(again.edges, ref_canonical_edges(edges))
+            weights = compute_weights(again, 1.0, 2.0, 0.1, 1.0)
+            creditor, debtor = again.edges[:, 0], again.edges[:, 1]
+            order = ref_debtor_order(creditor, debtor)
+            ptr = np.concatenate(([0], np.cumsum(np.bincount(debtor, minlength=top.n_banks))))
+            assert np.array_equal(weights.debtor_ptr, ptr)
+            assert np.array_equal(weights.debtor_creditors, creditor[order])
+            assert np.array_equal(weights.debtor_amounts, weights.amounts[order])
+
+    def test_edge_list_in_any_order(self, tmp_path):
+        top = gen_erdos_renyi(80, 0.1, RngStream(6, 0))
+        path = tmp_path / "net.edges"
+        lines = [f"{i} {j}" for i, j in shuffled(top.edges, 1).tolist()]
+        path.write_text("\n".join([f"N {top.n_banks}", *lines]) + "\n")
+        assert np.array_equal(read_edge_list(path).edges, top.edges)
+
+    @pytest.mark.parametrize("order", ["sorted", "shuffled"])
+    def test_duplicates_raise(self, order):
+        top = gen_erdos_renyi(60, 0.1, RngStream(2, 0))
+        for at in (0, 17, top.n_edges - 1):
+            edges = np.insert(top.edges, at, top.edges[at], axis=0)
+            if order == "shuffled":
+                edges = shuffled(edges, at)
+            with pytest.raises(InvalidParameterError, match="duplicate"):
+                Topology(60, edges, "external")
+
+    def test_duplicate_among_shuffled_pairs(self):
+        with pytest.raises(InvalidParameterError, match="duplicate"):
+            Topology(3, np.array([[0, 1], [1, 0], [2, 1], [0, 1]]), "external")
 
 
 class TestRngStream:
@@ -103,6 +223,40 @@ class TestErdosRenyi:
         b = gen_erdos_renyi(200, 0.01, RngStream(9, 4))
         assert a == b
 
+    @pytest.mark.parametrize("density", [5e-324, 1e-300, 1e-18])
+    @pytest.mark.parametrize("n", [2, 300, 100_000])
+    def test_tiny_density_returns_promptly(self, n, density):
+        # Gaps near 2**63 must not wrap the running sum around.
+        with time_limit(10):
+            for k in range(20):
+                t = gen_erdos_renyi(n, density, RngStream(3, k))
+                assert t.n_banks == n and t.kind == "homogeneous"
+                assert t.n_edges <= 1
+                assert np.all((t.edges >= 0) & (t.edges < n))
+
+    def test_zero_probability_draws_nothing(self):
+        gen = np.random.default_rng(5)
+        gen.integers(0, 10)
+        state = gen.bit_generator.state
+        assert gen_erdos_renyi(50, 0.0, gen).n_edges == 0
+        assert gen.bit_generator.state == state
+
+    def test_certain_edge_over_several_blocks(self):
+        n = 300  # 89,700 pairs, more than one block of netgen._CHUNK gaps
+        t = gen_erdos_renyi(n, 1.0, RngStream(1, 0))
+        assert t.n_edges == n * (n - 1)
+        assert np.array_equal(pair_index(t), np.arange(n * (n - 1)))
+
+    def test_first_and_last_pair_reachable(self):
+        n = 7
+        first = last = both = 0
+        for k in range(200):
+            pairs = {tuple(e) for e in gen_erdos_renyi(n, 0.2, RngStream(10, k)).edges.tolist()}
+            first += (0, 1) in pairs
+            last += (n - 1, n - 2) in pairs
+            both += (0, 1) in pairs and (n - 1, n - 2) in pairs
+        assert first > 0 and last > 0 and both > 0
+
     def test_pair_inclusion_frequency(self):
         hits = 0
         seeds = 1000
@@ -112,6 +266,27 @@ class TestErdosRenyi:
                 hits += 1
         sigma = (seeds * 0.1 * 0.9) ** 0.5
         assert abs(hits - seeds * 0.1) <= 5 * sigma
+
+
+class TestErdosRenyiDistribution:
+    """The gap sampler against its definition: each ordered pair is an edge
+    with probability p, independently of the others."""
+
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.6])
+    def test_pairs_independent_with_probability_p(self, density):
+        n, draws = 12, 3000
+        hit = np.zeros((draws, n * (n - 1)), dtype=bool)
+        for k in range(draws):
+            hit[k, pair_index(gen_erdos_renyi(n, density, RngStream(8, k)))] = True
+        counts = hit.sum(axis=0)
+        sigma = (draws * density * (1 - density)) ** 0.5
+        assert np.all(np.abs(counts - draws * density) <= 5 * sigma), counts
+        # Neighbours in the row-major numbering, n - 2 of them across a row
+        # boundary, such as (0, n-1) and (1, 0).
+        both = (hit[:, :-1] & hit[:, 1:]).sum(axis=0)
+        joint = density * density
+        sigma = (draws * joint * (1 - joint)) ** 0.5
+        assert np.all(np.abs(both - draws * joint) <= 5 * sigma), both
 
 
 class TestPreferentialAttachment:
@@ -211,16 +386,30 @@ class TestSameStreamAsReference:
         "n, density",
         [
             (2, 0.5),
-            (40, 0.1),          # one chunk
-            (256, 0.02),        # 256 * 255 pairs, just under one chunk of 2**16
-            (257, 0.02),        # 257 * 256 = 2**16 + 256: a full chunk and a short one
-            (700, 0.01),        # several chunks
-            (300, 0.0),
-            (30, 1.0),
+            (40, 0.1),
+            (256, 0.02),
+            (257, 0.02),
+            (700, 0.01),
+            (300, 0.0),         # draws nothing
+            (30, 1.0),          # one gap per pair
+            (300, 1.0),         # 89,700 gaps: a full block of 2**16 and a short one
+            (40, 0.4),          # numpy draws p >= 1/3 by search, not inversion
+            (2000, 0.0025),
+            (40, 1e-300),       # gaps clipped to n(n-1) + 1
+            (500, 1e-18),
         ],
     )
     def test_erdos_renyi(self, n, density):
         assert_same_stream(gen_erdos_renyi, ref_gen_erdos_renyi, n, density, range(6))
+        assert_same_stream(
+            gen_erdos_renyi, ref_gen_erdos_renyi, n, density, range(3), shared=True
+        )
+
+    @pytest.mark.parametrize("n, density", [(2, 0.5), (12, 0.5), (40, 0.1), (30, 1.0)])
+    def test_erdos_renyi_small_blocks(self, monkeypatch, n, density):
+        # Blocks of at most 5 gaps, so most topologies take several.
+        monkeypatch.setattr(netgen, "_CHUNK", 5)
+        assert_same_stream(gen_erdos_renyi, ref_gen_erdos_renyi, n, density, range(10))
         assert_same_stream(
             gen_erdos_renyi, ref_gen_erdos_renyi, n, density, range(3), shared=True
         )
