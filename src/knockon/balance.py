@@ -69,7 +69,8 @@ class SheetConstants:
 class BalanceSheetSet:
     """Per-bank sheets: external assets E, interbank loans I, borrowings B,
     net worth C, deposits D, assets A and liabilities L, plus any surcharge
-    capital already folded into E, C, A and L."""
+    capital already folded into E, C, A and L. I and B are the weight
+    matrix's own ``loans`` and ``borrowings`` arrays, not copies."""
 
     external_assets: np.ndarray
     interbank_loans: np.ndarray
@@ -209,8 +210,8 @@ def build_balance_sheets(
 
     return BalanceSheetSet(
         external_assets=external,
-        interbank_loans=weights.loans.copy(),
-        interbank_borrowings=weights.borrowings.copy(),
+        interbank_loans=weights.loans,
+        interbank_borrowings=weights.borrowings,
         net_worth=net_worth,
         deposits=deposits,
         assets=assets,

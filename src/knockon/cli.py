@@ -1,24 +1,12 @@
 """Command-line front end: generate topologies, inspect balance sheets,
 run capital-ratio sweeps.
 
-Scenario files are flat INI text. The ``[scenario]`` section takes::
-
-    n                   bank count (int, >= 2)
-    topology            homogeneous | heterogeneous | external
-    topology_path       edge-list file, required when topology = external
-    p                   edge density in [0, 1]
-    Q                   interbank loans as a fraction of assets, in (0, 0.5)
-    s, t                heterogeneity powers (default 0)
-    E                   total external assets (default 1.0)
-    r_grid              comma list "0.02, 0.04" or range "start:stop:step"
-    replications        Monte Carlo sample count (default 10000)
-    seed                master seed (64-bit unsigned int)
-    loss_rule           amplified | capped (default amplified)
-    initial_bank_policy uniform_random (default)
-
-An optional ``[surcharge]`` section takes ``R_s`` (extra equity ratio) and
-``biggest_fraction`` (share of banks receiving it). Exit codes: 0 success,
-2 config or input error, 3 runtime error.
+Scenario files are flat INI text: a required ``[scenario]`` section and an
+optional ``[surcharge]`` section. ``_SCHEMA`` below lists the keys of both,
+and the README's grammar table documents them. A key whose field has no
+default is required, so a ``[surcharge]`` section needs both its keys. Key
+names match case-insensitively. An unknown key or section is a config
+error. Exit codes: 0 success, 2 config or input error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -34,7 +22,9 @@ import sys
 import tempfile
 from contextlib import nullcontext, suppress
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -61,21 +51,16 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
-_SCENARIO_KEYS = {
-    "n", "topology", "topology_path", "p", "q", "s", "t", "e", "r_grid",
-    "replications", "seed", "loss_rule", "initial_bank_policy",
-}
-
 
 def _parse_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"r_grid range must be start:stop:step, got {text!r}")
+            raise ValueError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
         if step <= 0:
-            raise ConfigError(f"r_grid step must be positive, got {step}")
+            raise ValueError(f"range step must be positive, got {step}")
         values = []
         k = 0
         while True:
@@ -86,6 +71,72 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             k += 1
         return tuple(values)
     return tuple(float(p) for p in text.split(",") if p.strip())
+
+
+def _parse_loss_rule(text: str) -> LossRule:
+    try:
+        return LossRule(text)
+    except ValueError:
+        raise ValueError(f"must be amplified or capped, got {text!r}") from None
+
+
+class _Key(NamedTuple):
+    """One scenario-file key: its section, its name as files and the
+    manifest write it, the dataclass field it fills and its parser."""
+
+    section: str
+    name: str
+    field: str
+    parse: Callable[[str], object]
+
+
+# Every scenario-file key, in the order emit_config and the manifest list them.
+_SCHEMA = (
+    _Key("scenario", "n", "n_banks", int),
+    _Key("scenario", "topology", "topology_kind", str),
+    _Key("scenario", "topology_path", "topology_path", lambda text: text or None),
+    _Key("scenario", "p", "density", float),
+    _Key("scenario", "Q", "loan_fraction", float),
+    _Key("scenario", "s", "lender_power", float),
+    _Key("scenario", "t", "borrower_power", float),
+    _Key("scenario", "E", "total_external", float),
+    _Key("scenario", "r_grid", "capital_ratio_grid", _parse_grid),
+    _Key("scenario", "replications", "replications", int),
+    _Key("scenario", "seed", "master_seed", int),
+    _Key("scenario", "loss_rule", "loss_rule", _parse_loss_rule),
+    _Key("surcharge", "R_s", "surcharge_ratio", float),
+    _Key("surcharge", "biggest_fraction", "biggest_fraction", float),
+)
+_SECTIONS = {"scenario": ScenarioConfig, "surcharge": SurchargePolicy}
+# Defaults of scenario files that ScenarioConfig itself does not have.
+_FILE_DEFAULTS = {"p": 0.0, "replications": 10000}
+
+
+def _read_section(path: Path, parser: configparser.ConfigParser, section: str) -> dict:
+    """The dataclass fields one section sets. A key the file leaves out
+    takes its file default, else its field's default, else is missing."""
+    keys = [key for key in _SCHEMA if key.section == section]
+    known = {key.name.lower() for key in keys}
+    for name in parser[section]:
+        if name not in known:
+            raise ConfigError(f"{path}: unknown key {name!r} in [{section}]")
+    has_default = {
+        f.name for f in dataclasses.fields(_SECTIONS[section])
+        if f.default is not dataclasses.MISSING
+    }
+    values = {}
+    for key in keys:
+        text = parser[section].get(key.name)
+        if text is not None:
+            try:
+                values[key.field] = key.parse(text)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: {key.name}: {exc}") from exc
+        elif key.name in _FILE_DEFAULTS:
+            values[key.field] = _FILE_DEFAULTS[key.name]
+        elif key.field not in has_default:
+            raise ConfigError(f"{path}: missing required key {key.name!r} in [{section}]")
+    return values
 
 
 def parse_config(path: str | Path) -> ScenarioConfig:
@@ -101,51 +152,19 @@ def parse_config(path: str | Path) -> ScenarioConfig:
             parser.read_file(fh)
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    sections = parser.sections()
+    if parser.defaults():
+        # configparser lists no [DEFAULT] but copies its keys into every section.
+        sections.append(parser.default_section)
+    for section in sections:
+        if section not in _SECTIONS:
+            raise ConfigError(f"{path}: unknown section [{section}]")
     if not parser.has_section("scenario"):
         raise ConfigError(f"{path}: missing [scenario] section")
-    section = parser["scenario"]
-    for key in section:
-        if key not in _SCENARIO_KEYS:
-            raise ConfigError(f"{path}: unknown key {key!r} in [scenario]")
-
-    def need(key: str) -> str:
-        if key not in section:
-            raise ConfigError(f"{path}: missing required key {key!r}")
-        return section[key]
-
-    try:
-        surcharge = None
-        if parser.has_section("surcharge"):
-            sur = parser["surcharge"]
-            surcharge = SurchargePolicy(
-                surcharge_ratio=float(sur.get("r_s", 0.0)),
-                biggest_fraction=float(sur.get("biggest_fraction", 0.0)),
-            )
-        rule_text = section.get("loss_rule", LossRule.AMPLIFIED.value)
-        try:
-            rule = LossRule(rule_text)
-        except ValueError:
-            raise ConfigError(
-                f"{path}: loss_rule must be amplified or capped, got {rule_text!r}"
-            ) from None
-        cfg = ScenarioConfig(
-            n_banks=int(need("n")),
-            topology_kind=need("topology"),
-            density=float(section.get("p", 0.0)),
-            loan_fraction=float(need("q")),
-            capital_ratio_grid=_parse_grid(need("r_grid")),
-            replications=int(section.get("replications", 10000)),
-            master_seed=int(need("seed")),
-            lender_power=float(section.get("s", 0.0)),
-            borrower_power=float(section.get("t", 0.0)),
-            total_external=float(section.get("e", 1.0)),
-            loss_rule=rule,
-            surcharge=surcharge,
-            initial_bank_policy=section.get("initial_bank_policy", "uniform_random"),
-            topology_path=section.get("topology_path") or None,
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    fields = _read_section(path, parser, "scenario")
+    if parser.has_section("surcharge"):
+        fields["surcharge"] = SurchargePolicy(**_read_section(path, parser, "surcharge"))
+    cfg = ScenarioConfig(**fields)
     try:
         cfg.validate()
     except InvalidParameterError as exc:
@@ -157,60 +176,41 @@ def parse_config(path: str | Path) -> ScenarioConfig:
     return cfg
 
 
-def emit_config(cfg: ScenarioConfig) -> str:
-    """Render a ScenarioConfig back to scenario-file text; parse_config on
-    the result reproduces the config exactly."""
-    lines = [
-        "[scenario]",
-        f"n = {cfg.n_banks}",
-        f"topology = {cfg.topology_kind}",
-    ]
-    if cfg.topology_path:
-        lines.append(f"topology_path = {cfg.topology_path}")
-    lines += [
-        f"p = {cfg.density!r}",
-        f"Q = {cfg.loan_fraction!r}",
-        f"s = {cfg.lender_power!r}",
-        f"t = {cfg.borrower_power!r}",
-        f"E = {cfg.total_external!r}",
-        "r_grid = " + ", ".join(repr(r) for r in cfg.capital_ratio_grid),
-        f"replications = {cfg.replications}",
-        f"seed = {cfg.master_seed}",
-        f"loss_rule = {cfg.loss_rule.value}",
-        f"initial_bank_policy = {cfg.initial_bank_policy}",
-    ]
-    if cfg.surcharge is not None:
-        lines += [
-            "",
-            "[surcharge]",
-            f"R_s = {cfg.surcharge.surcharge_ratio!r}",
-            f"biggest_fraction = {cfg.surcharge.biggest_fraction!r}",
-        ]
-    return "\n".join(lines) + "\n"
+def _section_echo(owner: object, section: str) -> dict:
+    """One section's keys and their values, as JSON types."""
+    echo = {}
+    for key in _SCHEMA:
+        if key.section == section:
+            value = getattr(owner, key.field)
+            if isinstance(value, Enum):
+                value = value.value
+            echo[key.name] = list(value) if isinstance(value, tuple) else value
+    return echo
 
 
 def _config_echo(cfg: ScenarioConfig) -> dict:
-    echo = {
-        "n": cfg.n_banks,
-        "topology": cfg.topology_kind,
-        "topology_path": cfg.topology_path,
-        "p": cfg.density,
-        "Q": cfg.loan_fraction,
-        "s": cfg.lender_power,
-        "t": cfg.borrower_power,
-        "E": cfg.total_external,
-        "r_grid": list(cfg.capital_ratio_grid),
-        "replications": cfg.replications,
-        "seed": cfg.master_seed,
-        "loss_rule": cfg.loss_rule.value,
-        "initial_bank_policy": cfg.initial_bank_policy,
-    }
+    """The scenario as the manifest records it: the ``[scenario]`` keys,
+    plus a nested ``surcharge`` when there is one."""
+    echo = _section_echo(cfg, "scenario")
     if cfg.surcharge is not None:
-        echo["surcharge"] = {
-            "R_s": cfg.surcharge.surcharge_ratio,
-            "biggest_fraction": cfg.surcharge.biggest_fraction,
-        }
+        echo["surcharge"] = _section_echo(cfg.surcharge, "surcharge")
     return echo
+
+
+def emit_config(cfg: ScenarioConfig) -> str:
+    """Render a ScenarioConfig back to scenario-file text; parse_config on
+    the result reproduces the config exactly."""
+    blocks = []
+    for section, owner in (("scenario", cfg), ("surcharge", cfg.surcharge)):
+        if owner is None:
+            continue
+        lines = [f"[{section}]"]
+        for name, value in _section_echo(owner, section).items():
+            if value is not None:
+                text = ", ".join(map(str, value)) if isinstance(value, list) else value
+                lines.append(f"{name} = {text}")
+        blocks.append("\n".join(lines) + "\n")
+    return "\n".join(blocks)
 
 
 def cmd_generate(cfg: ScenarioConfig, out_path: str | Path) -> None:

@@ -69,7 +69,6 @@ class ScenarioConfig:
     total_external: float = 1.0
     loss_rule: LossRule = LossRule.AMPLIFIED
     surcharge: SurchargePolicy | None = None
-    initial_bank_policy: str = "uniform_random"
     topology_path: str | None = None
 
     def validate(self) -> None:
@@ -108,10 +107,6 @@ class ScenarioConfig:
         if self.total_external <= 0:
             raise InvalidParameterError(f"E must be positive, got {self.total_external}")
         LossRule(self.loss_rule)
-        if self.initial_bank_policy != "uniform_random":
-            raise InvalidParameterError(
-                f"initial_bank_policy must be uniform_random, got {self.initial_bank_policy!r}"
-            )
         if self.surcharge is not None:
             pol = self.surcharge
             if pol.surcharge_ratio < 0 or pol.surcharge_ratio + max(grid) >= 1.0:
@@ -313,8 +308,9 @@ def sweep(
     """Run the full Monte Carlo sweep.
 
     Replications run in blocks of consecutive stream indices: in this
-    process for one worker, in a process pool for more. Either way the
-    results are taken in block order.
+    process for one worker or one block, otherwise in a process pool of at
+    most one process per block. Either way the results are taken in block
+    order.
 
     Args:
         cfg: the scenario; ``cfg.validate()`` is called first.
@@ -344,7 +340,9 @@ def sweep(
 
     block = max(1, math.ceil(reps / (workers * 4)))
     spans = [(s, min(s + block, reps)) for s in range(0, reps, block)]
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    # A forking pool starts all its processes at once: no more than blocks.
+    processes = min(workers, len(spans))
+    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
     try:
         if pool is None:
             jobs = deque(partial(_sweep_block, cfg, external, a, b, trace) for a, b in spans)

@@ -18,7 +18,12 @@ from knockon import (
     gen_erdos_renyi,
     write_edge_list,
 )
-from knockon.cli import emit_config, main, parse_config
+from knockon.cli import _SCHEMA, emit_config, main, parse_config
+
+REPO = Path(__file__).resolve().parents[1]
+SHIPPED_CONFIGS = sorted(
+    [*REPO.glob("demos/configs/*.cfg"), *REPO.glob("bench/scenarios/*.cfg")]
+)
 
 MINIMAL = """
 [scenario]
@@ -29,6 +34,7 @@ Q = 0.1
 r_grid = 0.01:0.10:0.01
 seed = 42
 """
+SURCHARGE = "\n[surcharge]\nR_s = 0.025\nbiggest_fraction = 0.1\n"
 
 
 def staging_dirs(out_dir):
@@ -52,7 +58,6 @@ class TestParseConfig:
         assert cfg.replications == 10000
         assert cfg.total_external == 1.0
         assert cfg.loss_rule is LossRule.AMPLIFIED
-        assert cfg.initial_bank_policy == "uniform_random"
         assert cfg.surcharge is None
         assert len(cfg.capital_ratio_grid) == 10
         assert cfg.capital_ratio_grid[0] == 0.01
@@ -116,6 +121,57 @@ class TestParseConfig:
         cfg = parse_config(write_cfg(tmp_path, MINIMAL))
         again = parse_config(write_cfg(tmp_path, emit_config(cfg), "again.cfg"))
         assert again == cfg
+
+    @pytest.mark.parametrize("path", SHIPPED_CONFIGS, ids=lambda path: path.name)
+    def test_shipped_configs_round_trip(self, tmp_path, path):
+        cfg = parse_config(path)
+        assert parse_config(write_cfg(tmp_path, emit_config(cfg))) == cfg
+
+    def test_key_names_match_in_any_case(self, tmp_path):
+        text = MINIMAL + "E = 2.5\n" + SURCHARGE
+        lower = text.replace("Q =", "q =").replace("E =", "e =").replace("R_s", "r_s")
+        cfg = parse_config(write_cfg(tmp_path, text))
+        assert parse_config(write_cfg(tmp_path, lower, "lower.cfg")) == cfg
+        assert cfg.total_external == 2.5
+        assert cfg.surcharge == SurchargePolicy(0.025, 0.1)
+
+    def test_readme_lists_the_schema_keys(self):
+        readme = (REPO / "README.md").read_text(encoding="utf-8")
+        grammar = readme.split("### Scenario file grammar", 1)[1].split("\n## ", 1)[0]
+        rows = [
+            [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in grammar.splitlines()
+            if line.startswith("| `")
+        ]
+        assert sorted((row[0], row[1]) for row in rows) == sorted(
+            (key.section, key.name) for key in _SCHEMA
+        )
+
+
+class TestConfigErrorsExitTwo:
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (MINIMAL + SURCHARGE.replace("R_s", "Rs"), "unknown key 'rs' in [surcharge]"),
+            (MINIMAL + SURCHARGE.replace("[surcharge]", "[surchage]"), "unknown section [surchage]"),
+            ("[DEFAULT]\nseed = 5\n" + MINIMAL.replace("seed = 42\n", ""), "unknown section [DEFAULT]"),
+            (MINIMAL + SURCHARGE.replace("R_s = 0.025\n", ""), "missing required key 'R_s'"),
+            (
+                MINIMAL + SURCHARGE.replace("biggest_fraction = 0.1\n", ""),
+                "missing required key 'biggest_fraction'",
+            ),
+            (MINIMAL + "initial_bank_policy = uniform_random\n", "unknown key 'initial_bank_policy'"),
+            (MINIMAL.replace("seed = 42\n", ""), "missing required key 'seed'"),
+            (MINIMAL.replace("n = 500", "n = many"), "n: invalid literal"),
+            (MINIMAL.replace("r_grid = 0.01:0.10:0.01", "r_grid = 0.01:0.10"), "r_grid: range"),
+        ],
+    )
+    def test_sweep_exits_two_without_output(self, tmp_path, capsys, text, message):
+        out_dir = tmp_path / "x"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out_dir)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out_dir.exists()
 
 
 class TestGenerate:
@@ -245,6 +301,18 @@ class TestSweepCommand:
         umask = os.umask(0)
         os.umask(umask)
         assert out_dir.stat().st_mode & 0o777 == 0o777 & ~umask
+
+    def test_manifest_config_has_the_schema_keys(self, tmp_path):
+        out_dir = tmp_path / "run"
+        cfg_path = write_cfg(tmp_path, SWEEP_CFG + SURCHARGE)
+        assert main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)]) == 0
+        config = json.loads((out_dir / "manifest.json").read_text())["config"]
+        assert list(config) == [
+            "n", "topology", "topology_path", "p", "Q", "s", "t", "E", "r_grid",
+            "replications", "seed", "loss_rule", "surcharge",
+        ]
+        assert config["surcharge"] == {"R_s": 0.025, "biggest_fraction": 0.1}
+        assert [*config][:-1] + [*config["surcharge"]] == [key.name for key in _SCHEMA]
 
     def test_raw_samples_flag(self, tmp_path):
         cfg_path = write_cfg(tmp_path, SWEEP_CFG)

@@ -1,3 +1,5 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,36 @@ class TestSweep:
         result = sweep(small_config(replications=10), keep_samples=True, trace_sink=events.append)
         assert result.samples.shape == (3, 10)
         assert events
+
+    def test_pool_has_at_most_one_process_per_block(self, monkeypatch):
+        sizes = []
+
+        class InlinePool:
+            """Records its size and runs each job at submit, in this process."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr("knockon.experiment.ProcessPoolExecutor", InlinePool)
+        cfg = small_config(replications=10)
+        serial = sweep(cfg, keep_samples=True)
+        # Ten replications make ten one-replication blocks at 64 or 3 workers.
+        for workers in (64, 3):
+            pooled = sweep(cfg, workers=workers, keep_samples=True)
+            assert np.array_equal(pooled.samples, serial.samples)
+            assert pooled.to_csv() == serial.to_csv()
+        assert sizes == [10, 3]
+        # A single block runs in this process.
+        sweep(small_config(replications=1), workers=64)
+        assert sizes == [10, 3]
 
     def test_paired_counts_non_increasing(self):
         cfg = small_config(replications=60)
