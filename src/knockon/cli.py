@@ -150,8 +150,10 @@ def parse_config(path: str | Path) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from exc
     sections = parser.sections()
     if parser.defaults():
         # configparser lists no [DEFAULT] but copies its keys into every section.
@@ -297,7 +299,7 @@ def cmd_sweep(
         stage.chmod(0o777 & ~umask)
         with open(stage / "trace.ndjson", "w", encoding="ascii") if trace else nullcontext() as fh:
             sink = (lambda event: fh.write(json.dumps(event) + "\n")) if trace else None
-            result = sweep(cfg, workers=workers, keep_samples=raw_samples, trace_sink=sink)
+            result = sweep(cfg, workers=workers, trace_sink=sink)
         (stage / "sweep.csv").write_text(result.to_csv(), encoding="ascii")
         if raw_samples:
             (stage / "samples.csv").write_text(result.raw_samples_csv(), encoding="ascii")

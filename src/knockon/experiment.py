@@ -13,7 +13,6 @@ count.
 from __future__ import annotations
 
 import math
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -141,14 +140,15 @@ class SweepRecord:
 class SweepResult:
     """Per-ratio statistics over all replications, plus run metadata.
 
-    ``per_layer_seconds`` maps each of :data:`LAYERS` to its seconds summed
-    over all replications.
+    ``samples`` holds the (ratio x replication) default counts the
+    statistics were taken from. ``per_layer_seconds`` maps each of
+    :data:`LAYERS` to its seconds summed over all replications.
     """
 
     config: ScenarioConfig
     records: tuple[SweepRecord, ...]
     realized_density_mean: float
-    samples: np.ndarray | None
+    samples: np.ndarray
     per_layer_seconds: dict[str, float]
     total_seconds: float
 
@@ -162,8 +162,6 @@ class SweepResult:
         return "\n".join(lines) + "\n"
 
     def raw_samples_csv(self) -> str:
-        if self.samples is None:
-            raise InvalidParameterError("sweep was run without keep_samples")
         lines = [RAW_CSV_HEADER]
         for row, ratio in zip(self.samples, self.config.capital_ratio_grid):
             lines.extend(
@@ -267,63 +265,32 @@ def _load_external(cfg: ScenarioConfig) -> Topology | None:
     return topology
 
 
-def _sweep_block(
-    cfg: ScenarioConfig, external: Topology | None, start: int, stop: int, trace: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[dict]]:
-    """Replications ``start`` to ``stop - 1``: their (ratio x replication)
-    default counts, realized densities, seconds per layer of :data:`LAYERS`
-    summed over the span and, with ``trace``, one dict per default event in
-    stream order."""
-    grid = cfg.capital_ratio_grid
-    counts = np.zeros((len(grid), stop - start), dtype=np.int64)
-    densities = np.zeros(stop - start)
-    seconds = np.zeros(len(LAYERS))
-    events: list[dict] = []
-    for col, k in enumerate(range(start, stop)):
-        counts[:, col], densities[col], secs, results = _replicate_grid(
-            cfg, external, k, collect_results=trace
-        )
-        seconds += secs
-        for ratio, outcome in zip(grid, results or ()):
-            events.extend(
-                {
-                    "stream_index": k,
-                    "R": ratio,
-                    "round": event.round,
-                    "bank": event.bank,
-                    "distress": event.distress,
-                    "transmitted": event.transmitted,
-                }
-                for event in outcome.defaults
-            )
-    return counts, densities, seconds, events
-
-
 def sweep(
     cfg: ScenarioConfig,
     workers: int = 1,
-    keep_samples: bool = False,
     trace_sink: Callable[[dict], None] | None = None,
 ) -> SweepResult:
     """Run the full Monte Carlo sweep.
 
-    Replications run in blocks of consecutive stream indices: in this
-    process for one worker or one block, otherwise in a process pool of at
-    most one process per block. Either way the results are taken in block
-    order.
+    One replication is the unit of work: :func:`_replicate_grid` is mapped
+    over the stream indices and its results are taken in stream order. With
+    one process the builtin ``map`` runs each replication only after the
+    previous one's counts and trace events are taken, so at most one
+    replication's events are held at a time. With more, a process pool maps
+    chunks of about ``replications / (4 x workers)`` consecutive indices,
+    with at most one process per chunk.
 
     Args:
         cfg: the scenario; ``cfg.validate()`` is called first.
         workers: process count. Any value yields bit-identical statistics
             and trace events.
-        keep_samples: retain the raw (ratio x replication) default counts.
         trace_sink: optional callable receiving one dict per default event,
-            in stream order, as each block completes.
+            in stream order, as each replication's results are taken.
 
     Raises:
         ReplicationError: a replication failed, or a worker process died;
             the lowest failing stream index (or the first of the dead
-            worker's block) is reported and the sweep is aborted.
+            worker's chunk) is reported and the sweep is aborted.
     """
     cfg.validate()
     if workers < 1:
@@ -336,33 +303,37 @@ def sweep(
     samples = np.zeros((len(grid), reps), dtype=np.int64)
     densities = np.zeros(reps)
     seconds = np.zeros(len(LAYERS))
-    trace = trace_sink is not None
+    replicate = partial(_replicate_grid, cfg, external, collect_results=trace_sink is not None)
 
-    block = max(1, math.ceil(reps / (workers * 4)))
-    spans = [(s, min(s + block, reps)) for s in range(0, reps, block)]
-    # A forking pool starts all its processes at once: no more than blocks.
-    processes = min(workers, len(spans))
+    chunk = max(1, math.ceil(reps / (workers * 4)))
+    # A forking pool starts all its processes at once: no more than chunks.
+    processes = min(workers, math.ceil(reps / chunk))
     pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
+    k = 0
     try:
         if pool is None:
-            jobs = deque(partial(_sweep_block, cfg, external, a, b, trace) for a, b in spans)
+            outcomes = map(replicate, range(reps))
         else:
-            jobs = deque(pool.submit(_sweep_block, cfg, external, a, b, trace).result for a, b in spans)
-        for start, stop in spans:
-            # Popped, so that no finished block's trace events stay referenced.
-            job = jobs.popleft()
-            try:
-                counts, dens, secs, events = job()
-            except BrokenProcessPool:
-                raise ReplicationError(start, "worker process died") from None
-            samples[:, start:stop] = counts
-            densities[start:stop] = dens
+            outcomes = pool.map(replicate, range(reps), chunksize=chunk)
+        for k in range(reps):
+            samples[:, k], densities[k], secs, results = next(outcomes)
             seconds += secs
-            for event in events:
-                trace_sink(event)
+            for ratio, outcome in zip(grid, results or ()):
+                for event in outcome.defaults:
+                    trace_sink({
+                        "stream_index": k,
+                        "R": ratio,
+                        "round": event.round,
+                        "bank": event.bank,
+                        "distress": event.distress,
+                        "transmitted": event.transmitted,
+                    })
+    except BrokenProcessPool:
+        # A chunk's results arrive together, so k is its first index.
+        raise ReplicationError(k, "worker process died") from None
     finally:
         if pool is not None:
-            # After a failure, queued blocks are dropped rather than run.
+            # After a failure, queued chunks are dropped rather than run.
             pool.shutdown(cancel_futures=True)
 
     records = []
@@ -387,7 +358,7 @@ def sweep(
         config=cfg,
         records=tuple(records),
         realized_density_mean=float(densities.mean()),
-        samples=samples if keep_samples else None,
+        samples=samples,
         per_layer_seconds={layer: float(s) for layer, s in zip(LAYERS, seconds)},
         total_seconds=perf_counter() - wall_start,
     )

@@ -435,12 +435,17 @@ def write_edge_list(topology: Topology, path: str | PathLike) -> None:
 def read_edge_list(path: str | PathLike) -> Topology:
     """Parse an edge-list file written by :func:`write_edge_list`.
 
-    Raises ParseError with a line number for malformed input and
-    InvalidParameterError for semantic problems (self-loops, duplicates,
-    out-of-range endpoints).
+    Raises ParseError for a file that cannot be read as ASCII text and,
+    with a line number, for malformed input; InvalidParameterError for
+    semantic problems (self-loops, duplicates, out-of-range endpoints).
     """
-    with open(path, "r", encoding="ascii") as fh:
-        raw = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            raw = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     if not raw:
         raise ParseError(f"{path}: empty file, expected a 'N <count>' header")
     head = raw[0].split()

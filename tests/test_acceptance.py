@@ -81,7 +81,7 @@ def heterogeneous_config(**overrides):
 
 @pytest.fixture(scope="module")
 def homog_base():
-    return sweep(homogeneous_config(), workers=WORKERS, keep_samples=True)
+    return sweep(homogeneous_config(), workers=WORKERS)
 
 
 @pytest.fixture(scope="module")
@@ -412,7 +412,6 @@ def test_acceptance_08_monotonicity(homog_base):
     capped = sweep(
         homogeneous_config(capital_ratio_grid=pair_grid, replications=1000),
         workers=WORKERS,
-        keep_samples=True,
     )
     amplified = sweep(
         homogeneous_config(
@@ -421,7 +420,6 @@ def test_acceptance_08_monotonicity(homog_base):
             loss_rule=LossRule.AMPLIFIED,
         ),
         workers=WORKERS,
-        keep_samples=True,
     )
     monotone_amp = bool(np.all(np.diff(amplified.samples, axis=0) <= 0))
     ordered = bool(np.all(capped.samples <= amplified.samples))
@@ -501,7 +499,7 @@ def test_acceptance_10_worker_determinism():
     )
     traces = [[], [], []]
     outputs = [
-        sweep(cfg, workers=w, keep_samples=True, trace_sink=events.append)
+        sweep(cfg, workers=w, trace_sink=events.append)
         for w, events in zip((1, 4, 16), traces)
     ]
     csv_ok = (

@@ -174,6 +174,53 @@ class TestConfigErrorsExitTwo:
         assert not out_dir.exists()
 
 
+class TestUnreadableInputExitsTwo:
+    """An input file that cannot be read is an input error: exit 2, a
+    one-line message and no output."""
+
+    @staticmethod
+    def assert_input_error(capsys, code, out_dir, message):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+        assert not out_dir.exists()
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        cfg_path = tmp_path / "latin1.cfg"
+        cfg_path.write_bytes(("# caf\u00e9\n" + MINIMAL).encode("latin-1"))
+        out_dir = tmp_path / "x"
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)])
+        self.assert_input_error(capsys, code, out_dir, "latin1.cfg")
+
+    def test_edge_list_not_ascii(self, tmp_path, capsys):
+        edge_path = tmp_path / "net.edges"
+        edge_path.write_bytes("N 2\n0 1 \u00e9\n".encode("utf-8"))
+        cfg_path = write_cfg(tmp_path, MINIMAL.replace("n = 500", "n = 2"))
+        out_dir = tmp_path / "report"
+        code = main(["inspect", str(edge_path), "--config", str(cfg_path), "--out", str(out_dir)])
+        self.assert_input_error(capsys, code, out_dir, "net.edges")
+
+    def test_edge_list_missing(self, tmp_path, capsys):
+        cfg_path = write_cfg(tmp_path, MINIMAL.replace("n = 500", "n = 2"))
+        out_dir = tmp_path / "report"
+        code = main([
+            "inspect", str(tmp_path / "absent.edges"), "--config", str(cfg_path),
+            "--out", str(out_dir),
+        ])
+        self.assert_input_error(capsys, code, out_dir, "absent.edges")
+
+    def test_sweep_topology_path_missing(self, tmp_path, capsys):
+        text = MINIMAL.replace("topology = homogeneous", "topology = external")
+        text += "topology_path = absent.edges\n"
+        cfg_path = write_cfg(tmp_path, text)
+        out_dir = tmp_path / "new" / "x"
+        code = main(["sweep", "--config", str(cfg_path), "--out", str(out_dir)])
+        self.assert_input_error(capsys, code, out_dir, "absent.edges")
+        assert staging_dirs(out_dir) == []
+        assert not (tmp_path / "new").exists()
+
+
 class TestGenerate:
     def test_writes_edge_list(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, MINIMAL)
@@ -246,6 +293,20 @@ seed = 1
         assert code == 0
         assert (out_dir / "balance.csv").exists()
         assert (out_dir / "validation.txt").read_text().strip() == "all identities hold"
+
+    def test_surcharge_section(self, tmp_path, capsys):
+        edge_path = tmp_path / "net.edges"
+        write_edge_list(gen_erdos_renyi(50, 0.1, RngStream(3, 0).generator()), edge_path)
+        text = MINIMAL.replace("n = 500", "n = 50") + SURCHARGE
+        cfg_path = write_cfg(tmp_path, text)
+        assert main(["inspect", str(edge_path), "--config", str(cfg_path)]) == 0
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[0].split(",")[-1] == "surcharge"
+        rows = [line.split(",") for line in lines[1:51]]
+        assert [row[0] for row in rows] == [str(bank) for bank in range(50)]
+        assert sum(float(row[-1]) != 0.0 for row in rows) == 5  # floor(0.1 * 50)
+        assert "all identities hold" in out
 
     def test_edgeless_file_fails(self, tmp_path, capsys):
         edge_path = tmp_path / "empty.edges"

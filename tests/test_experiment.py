@@ -1,4 +1,4 @@
-from concurrent.futures import Future
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -110,23 +110,21 @@ class TestConfigValidation:
 
 
 class TestRunReplication:
-    """One replication, seen through ``sweep(..., keep_samples=True)``."""
+    """One replication, seen through ``sweep(...).samples``."""
 
     def test_deterministic(self):
         cfg = small_config(replications=8)
-        a = sweep(cfg, keep_samples=True).samples
-        b = sweep(cfg, keep_samples=True).samples
+        a = sweep(cfg).samples
+        b = sweep(cfg).samples
         assert np.array_equal(a, b)
 
     def test_matches_sweep_samples(self):
         # A replication's count at one ratio does not depend on the rest of
         # the grid: a one-ratio sweep gives the full sweep's row.
         cfg = small_config(replications=12)
-        result = sweep(cfg, keep_samples=True)
+        result = sweep(cfg)
         for idx, ratio in enumerate(cfg.capital_ratio_grid):
-            single = sweep(
-                small_config(replications=12, capital_ratio_grid=(ratio,)), keep_samples=True
-            )
+            single = sweep(small_config(replications=12, capital_ratio_grid=(ratio,)))
             assert np.array_equal(single.samples[0], result.samples[idx])
 
     def test_two_bank_external_forced_edge(self, tmp_path):
@@ -140,7 +138,7 @@ class TestRunReplication:
             capital_ratio_grid=(0.05,),
             replications=8,
         )
-        values = sweep(cfg, keep_samples=True).samples[0].tolist()
+        values = sweep(cfg).samples[0].tolist()
         assert set(values) <= {1, 2}
         # replications that strike bank 1 (the borrower) default both banks
         assert 2 in values
@@ -238,7 +236,7 @@ class TestSweep:
 
     def test_statistics_recomputable_from_samples(self):
         cfg = small_config()
-        result = sweep(cfg, keep_samples=True)
+        result = sweep(cfg)
         assert result.samples.shape == (3, cfg.replications)
         for idx, rec in enumerate(result.records):
             row = result.samples[idx]
@@ -253,8 +251,8 @@ class TestSweep:
 
     def test_worker_count_does_not_change_results(self):
         cfg = small_config(replications=30)
-        serial = sweep(cfg, workers=1, keep_samples=True)
-        threaded = sweep(cfg, workers=2, keep_samples=True)
+        serial = sweep(cfg, workers=1)
+        threaded = sweep(cfg, workers=2)
         assert np.array_equal(serial.samples, threaded.samples)
         assert serial.to_csv() == threaded.to_csv()
 
@@ -266,16 +264,11 @@ class TestSweep:
 
     def test_csv_headers(self):
         cfg = small_config(replications=6)
-        result = sweep(cfg, keep_samples=True)
+        result = sweep(cfg)
         assert result.to_csv().splitlines()[0] == SWEEP_CSV_HEADER
         raw = result.raw_samples_csv().splitlines()
         assert raw[0] == RAW_CSV_HEADER
         assert len(raw) == 1 + 3 * 6
-
-    def test_raw_csv_requires_samples(self):
-        result = sweep(small_config(replications=2))
-        with pytest.raises(InvalidParameterError):
-            result.raw_samples_csv()
 
     def test_external_topology_reused(self, tmp_path):
         path = tmp_path / "net.edges"
@@ -315,21 +308,44 @@ class TestSweep:
         streams = [event["stream_index"] for event in traces[1]]
         assert streams == sorted(streams)
 
+    def test_single_worker_streams_one_replication_at_a_time(self, monkeypatch):
+        # Every trace event of stream k reaches the sink before stream k + 1
+        # draws its topology, so one replication's events are held at a time.
+        log = []
+        draw = experiment.gen_erdos_renyi
+
+        def logged_draw(n, density, gen):
+            log.append(("draw", None))
+            return draw(n, density, gen)
+
+        monkeypatch.setattr(experiment, "gen_erdos_renyi", logged_draw)
+        cfg = small_config(replications=8, capital_ratio_grid=(0.02,))
+        sweep(cfg, trace_sink=lambda event: log.append(("event", event["stream_index"])))
+        draws = [i for i, (kind, _) in enumerate(log) if kind == "draw"]
+        assert len(draws) == 8
+        for i, (kind, stream) in enumerate(log):
+            if kind == "event":
+                assert draws[stream] < i, f"event of stream {stream} before its draw"
+                if stream + 1 < len(draws):
+                    assert i < draws[stream + 1], f"event of stream {stream} after the next draw"
+        assert len({stream for kind, stream in log if kind == "event"}) > 1
+
     def test_single_worker_starts_no_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("workers=1 must not start a process pool")
 
         monkeypatch.setattr("knockon.experiment.ProcessPoolExecutor", no_pool)
         events = []
-        result = sweep(small_config(replications=10), keep_samples=True, trace_sink=events.append)
+        result = sweep(small_config(replications=10), trace_sink=events.append)
         assert result.samples.shape == (3, 10)
         assert events
 
     def test_pool_has_at_most_one_process_per_block(self, monkeypatch):
         sizes = []
 
-        class InlinePool:
-            """Records its size and runs each job at submit, in this process."""
+        class InlinePool(Executor):
+            """Records its size and runs each job at submit, in this process.
+            ``Executor.map`` submits one job per replication."""
 
             def __init__(self, max_workers):
                 sizes.append(max_workers)
@@ -344,19 +360,19 @@ class TestSweep:
 
         monkeypatch.setattr("knockon.experiment.ProcessPoolExecutor", InlinePool)
         cfg = small_config(replications=10)
-        serial = sweep(cfg, keep_samples=True)
-        # Ten replications make ten one-replication blocks at 64 or 3 workers.
+        serial = sweep(cfg)
+        # Ten replications make ten one-replication chunks at 64 or 3 workers.
         for workers in (64, 3):
-            pooled = sweep(cfg, workers=workers, keep_samples=True)
+            pooled = sweep(cfg, workers=workers)
             assert np.array_equal(pooled.samples, serial.samples)
             assert pooled.to_csv() == serial.to_csv()
         assert sizes == [10, 3]
-        # A single block runs in this process.
+        # A single chunk runs in this process.
         sweep(small_config(replications=1), workers=64)
         assert sizes == [10, 3]
 
     def test_paired_counts_non_increasing(self):
         cfg = small_config(replications=60)
-        result = sweep(cfg, keep_samples=True)
+        result = sweep(cfg)
         diffs = np.diff(result.samples, axis=0)
         assert np.all(diffs <= 0)
