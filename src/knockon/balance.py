@@ -50,11 +50,6 @@ class WeightMatrix:
     debtor_creditors: np.ndarray
     debtor_amounts: np.ndarray
 
-    def creditors_of(self, debtor: int) -> tuple[np.ndarray, np.ndarray]:
-        """Creditor indices of ``debtor`` and the amounts they are owed."""
-        lo, hi = self.debtor_ptr[debtor], self.debtor_ptr[debtor + 1]
-        return self.debtor_creditors[lo:hi], self.debtor_amounts[lo:hi]
-
 
 @dataclass(frozen=True)
 class SheetConstants:
@@ -114,6 +109,21 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def check_market(
+    loan_fraction: float, lender_power: float, borrower_power: float, total_external: float
+) -> None:
+    """Raise InvalidParameterError unless :func:`compute_weights` accepts these constants."""
+    if not 0.0 < loan_fraction < 0.5:
+        raise InvalidParameterError(f"loan fraction Q must lie in (0, 0.5), got {loan_fraction}")
+    for name, power in (("s", lender_power), ("t", borrower_power)):
+        if not 0.0 <= power < np.inf:
+            raise InvalidParameterError(f"power {name} must be finite and >= 0, got {power}")
+    if not 0.0 < total_external < np.inf:
+        raise InvalidParameterError(
+            f"total external assets E must be finite and positive, got {total_external}"
+        )
+
+
 def compute_weights(
     topology: Topology,
     lender_power: float,
@@ -128,14 +138,7 @@ def compute_weights(
     ``out_degree(creditor)**lender_power * in_degree(debtor)**borrower_power``
     (0**0 evaluates to 1, so zero powers give equal amounts).
     """
-    if not 0.0 < loan_fraction < 0.5:
-        raise InvalidParameterError(
-            f"loan fraction Q must lie in (0, 0.5), got {loan_fraction}"
-        )
-    if not total_external > 0.0:
-        raise InvalidParameterError(f"total external assets E must be positive, got {total_external}")
-    if lender_power < 0 or borrower_power < 0:
-        raise InvalidParameterError("heterogeneity powers s and t must be non-negative")
+    check_market(loan_fraction, lender_power, borrower_power, total_external)
     if topology.n_edges == 0:
         raise NoInterbankMarketError("topology has no edges, no interbank market exists")
 
@@ -226,37 +229,38 @@ def build_balance_sheets(
     )
 
 
+def check_surcharge(top_ratio: float, surcharge_ratio: float, biggest_fraction: float) -> None:
+    """Raise InvalidParameterError unless the surcharge is valid up to ratio ``top_ratio``."""
+    if not (surcharge_ratio >= 0.0 and top_ratio + surcharge_ratio < 1.0):
+        raise InvalidParameterError(
+            f"surcharge ratio R_s must lie in [0, 1 - R), got {surcharge_ratio} with R={top_ratio}"
+        )
+    if not 0.0 <= biggest_fraction <= 1.0:
+        raise InvalidParameterError(f"biggest_fraction must lie in [0, 1], got {biggest_fraction}")
+
+
 def surcharge_increments(
     sheets: BalanceSheetSet, capital_ratios, surcharge_ratio: float, biggest_fraction: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The banks that carry a capital surcharge and their extra equity.
+) -> np.ndarray:
+    """The extra equity a capital surcharge gives each bank.
 
     The ``floor(biggest_fraction * n)`` banks with the largest assets (ties
     broken by larger total degree, then lower index) each gain
     ``surcharge_ratio / (1 - R - surcharge_ratio)`` times their assets at
     capital ratio R. ``sheets`` must not carry a surcharge yet; its assets
-    do not depend on R. Returns the selected banks and a
-    ``(len(capital_ratios), len(selected))`` array of increments, one row
-    per ratio; both are empty when no bank is surcharged.
+    do not depend on R. Returns a ``(len(capital_ratios), n)`` array of
+    increments, one row per ratio, zero for every bank not surcharged.
     """
     ratios = np.asarray(capital_ratios, dtype=float)
-    top = float(ratios.max())
-    if surcharge_ratio < 0.0 or top + surcharge_ratio >= 1.0:
-        raise InvalidParameterError(
-            f"surcharge ratio R_s must lie in [0, 1 - R), got {surcharge_ratio} with R={top}"
-        )
-    if not 0.0 <= biggest_fraction <= 1.0:
-        raise InvalidParameterError(
-            f"biggest_fraction must lie in [0, 1], got {biggest_fraction}"
-        )
+    check_surcharge(float(ratios.max()), surcharge_ratio, biggest_fraction)
     n = sheets.n_banks
     # The 1e-9 nudge keeps floor() from losing an exactly-representable
     # product to float rounding (e.g. 0.1 * 30 -> 2.9999...).
-    count = int(np.floor(biggest_fraction * n + 1e-9)) if surcharge_ratio > 0.0 else 0
-    order = np.lexsort((np.arange(n), -sheets.total_degree, -sheets.assets))
-    selected = order[:count]
+    count = int(np.floor(biggest_fraction * n + 1e-9))
+    selected = np.lexsort((np.arange(n), -sheets.total_degree, -sheets.assets))[:count]
+    assets = np.bincount(selected, weights=sheets.assets[selected], minlength=n)
     factor = surcharge_ratio / (1.0 - ratios - surcharge_ratio)
-    return selected, factor[:, None] * sheets.assets[selected]
+    return factor[:, None] * assets
 
 
 def apply_surcharge(
@@ -265,13 +269,11 @@ def apply_surcharge(
     """Impose extra equity on the largest banks (see
     :func:`surcharge_increments`), booked against additional external
     assets; deposits and interbank positions are unchanged."""
-    selected, extra = surcharge_increments(
-        sheets, np.array([sheets.constants.capital_ratio]), surcharge_ratio, biggest_fraction
-    )
-    if selected.size == 0:
+    increment = surcharge_increments(
+        sheets, [sheets.constants.capital_ratio], surcharge_ratio, biggest_fraction
+    )[0]
+    if not increment.any():
         return sheets
-    increment = np.zeros(sheets.n_banks)
-    increment[selected] = extra[0]
     return replace(
         sheets,
         external_assets=sheets.external_assets + increment,

@@ -15,6 +15,7 @@ import argparse
 import configparser
 import dataclasses
 import json
+import math
 import os
 import platform
 import shutil
@@ -59,6 +60,8 @@ def _parse_grid(text: str) -> tuple[float, ...]:
         if len(parts) != 3:
             raise ValueError(f"range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
+        if not all(map(math.isfinite, (start, stop, step))):
+            raise ValueError(f"range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"range step must be positive, got {step}")
         values = []

@@ -22,7 +22,9 @@ from typing import Callable
 
 import numpy as np
 
-from .balance import build_balance_sheets, compute_weights, surcharge_increments
+from .balance import (
+    build_balance_sheets, check_market, check_surcharge, compute_weights, surcharge_increments
+)
 from .cascade import CascadeResult, LossRule, cascade_results, propagate_grid
 from .errors import InvalidParameterError, KnockonError, ReplicationError
 from .netgen import (
@@ -31,6 +33,7 @@ from .netgen import (
     HOMOGENEOUS,
     RngStream,
     Topology,
+    check_erdos_renyi,
     check_preferential_attachment,
     gen_erdos_renyi,
     gen_preferential_attachment,
@@ -72,22 +75,19 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise InvalidParameterError on the first violated bound."""
-        if self.n_banks < 2:
-            raise InvalidParameterError(f"n must be at least 2, got {self.n_banks}")
         if self.topology_kind not in (HOMOGENEOUS, HETEROGENEOUS, EXTERNAL):
             raise InvalidParameterError(
                 f"topology must be homogeneous, heterogeneous or external, got {self.topology_kind!r}"
             )
         if self.topology_kind == EXTERNAL and not self.topology_path:
             raise InvalidParameterError("topology_path is required when topology = external")
-        if not 0.0 <= self.density <= 1.0:
-            raise InvalidParameterError(f"p must lie in [0, 1], got {self.density}")
         if self.topology_kind == HETEROGENEOUS:
             check_preferential_attachment(self.n_banks, self.density)
-        if not 0.0 < self.loan_fraction < 0.5:
-            raise InvalidParameterError(
-                f"Q must lie in (0, 0.5), got {self.loan_fraction}"
-            )
+        else:
+            check_erdos_renyi(self.n_banks, self.density)
+        check_market(
+            self.loan_fraction, self.lender_power, self.borrower_power, self.total_external
+        )
         grid = self.capital_ratio_grid
         if not grid:
             raise InvalidParameterError("r_grid must contain at least one value")
@@ -99,23 +99,14 @@ class ScenarioConfig:
             raise InvalidParameterError(
                 f"replications must be at least 1, got {self.replications}"
             )
-        if not 0 <= int(self.master_seed) < 2**64:
-            raise InvalidParameterError(f"seed must be a 64-bit unsigned integer, got {self.master_seed}")
-        if self.lender_power < 0 or self.borrower_power < 0:
-            raise InvalidParameterError("s and t must be non-negative")
-        if self.total_external <= 0:
-            raise InvalidParameterError(f"E must be positive, got {self.total_external}")
-        LossRule(self.loss_rule)
+        RngStream(self.master_seed)
+        if self.loss_rule not in tuple(LossRule):
+            raise InvalidParameterError(
+                f"loss_rule must be amplified or capped, got {self.loss_rule!r}"
+            )
         if self.surcharge is not None:
             pol = self.surcharge
-            if pol.surcharge_ratio < 0 or pol.surcharge_ratio + max(grid) >= 1.0:
-                raise InvalidParameterError(
-                    f"R_s must lie in [0, 1 - max R), got {pol.surcharge_ratio}"
-                )
-            if not 0.0 <= pol.biggest_fraction <= 1.0:
-                raise InvalidParameterError(
-                    f"biggest_fraction must lie in [0, 1], got {pol.biggest_fraction}"
-                )
+            check_surcharge(max(grid), pol.surcharge_ratio, pol.biggest_fraction)
 
 
 @dataclass(frozen=True)
@@ -233,12 +224,12 @@ def _replicate_grid(
         distress = np.zeros_like(worth)
         distress[:, bank] = sheets.external_assets[bank]
         if cfg.surcharge is not None:
-            selected, extra = surcharge_increments(
+            extra = surcharge_increments(
                 sheets, grid, cfg.surcharge.surcharge_ratio, cfg.surcharge.biggest_fraction
             )
-            worth[:, selected] += extra
+            worth += extra
             # The surcharge is booked as external assets, so it is shocked too.
-            distress[:, bank] += extra[:, selected == bank].sum(axis=1)
+            distress[:, bank] += extra[:, bank]
         clock.append(perf_counter())
         counts, log = propagate_grid(
             worth, distress, np.zeros(worth.shape, dtype=bool), weights,

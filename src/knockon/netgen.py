@@ -53,6 +53,13 @@ _CHUNK = 1 << 16
 # How far the preferential-attachment generator draws ahead of its needs.
 _BLOCK = 4096
 
+#: The most banks a topology may have. A block of :func:`gen_erdos_renyi`
+#: adds at most _CHUNK gaps, each clipped to n(n-1) + 1, to a last pair of
+#: at most n(n-1) - 1, so its running sum never exceeds
+#: _CHUNK * (n(n-1) + 1) + n(n-1) - 1. This is the largest n for which that
+#: bound is below 2**63; every key creditor * n + debtor < n**2 fits too.
+MAX_BANKS = 11_863_193
+
 # Probability that a credit relation created during growth runs from the
 # incumbent to the newcomer (the newcomer borrows). Most small banks enter
 # the market as borrowers from established lenders; the bias keeps borrower
@@ -90,6 +97,13 @@ class RngStream:
         )
 
 
+def _check_bank_count(n_banks: int, least: int) -> None:
+    if not least <= int(n_banks) <= MAX_BANKS:
+        raise InvalidParameterError(
+            f"n_banks must be at least {least} and at most {MAX_BANKS}, got {n_banks}"
+        )
+
+
 def _as_generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
     if isinstance(rng, RngStream):
         return rng.generator()
@@ -112,9 +126,8 @@ class Topology:
     kind: str
 
     def __post_init__(self):
+        _check_bank_count(self.n_banks, 1)
         n = int(self.n_banks)
-        if n < 1:
-            raise InvalidParameterError(f"n_banks must be at least 1, got {n}")
         if self.kind not in _KINDS:
             raise InvalidParameterError(f"unknown topology kind {self.kind!r}")
         edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
@@ -196,18 +209,15 @@ def gen_erdos_renyi(
     past the last block.
 
     Args:
-        n_banks: number of banks, at least 2.
+        n_banks: number of banks, from 2 to :data:`MAX_BANKS`.
         density: inclusion probability for each of the n(n-1) ordered pairs.
         rng: an RngStream, or a Generator to draw from in sequence.
 
     Returns:
         A Topology of kind "homogeneous".
     """
+    check_erdos_renyi(n_banks, density)
     n = int(n_banks)
-    if n < 2:
-        raise InvalidParameterError(f"n_banks must be at least 2, got {n_banks}")
-    if not 0.0 <= density <= 1.0:
-        raise InvalidParameterError(f"density must lie in [0, 1], got {density}")
     gen = _as_generator(rng)
     total = n * (n - 1)
     found = [np.empty(0, dtype=np.int64)]
@@ -234,14 +244,19 @@ def gen_erdos_renyi(
     return Topology(n, np.column_stack([creditor, debtor]), HOMOGENEOUS)
 
 
+def check_erdos_renyi(n_banks: int, density: float) -> None:
+    """Raise InvalidParameterError unless :func:`gen_erdos_renyi` accepts these parameters."""
+    _check_bank_count(n_banks, 2)
+    if not 0.0 <= density <= 1.0:
+        raise InvalidParameterError(f"density p must lie in [0, 1], got {density}")
+
+
 def check_preferential_attachment(n_banks: int, density: float) -> None:
     """Raise InvalidParameterError unless :func:`gen_preferential_attachment`
     can realise ``density`` on ``n_banks`` banks."""
+    _check_bank_count(n_banks, 3)
     n = int(n_banks)
-    if n < 3:
-        raise InvalidParameterError(f"n_banks must be at least 3, got {n_banks}")
-    if not 0.0 < density <= 1.0:
-        raise InvalidParameterError(f"density must lie in (0, 1], got {density}")
+    check_erdos_renyi(n, density)
     if density * (n - 1) / 2.0 < 0.5:
         raise InvalidParameterError(
             f"density {density} is infeasible at n={n}: mean attachment "
@@ -328,7 +343,7 @@ def gen_preferential_attachment(
     had been drawn alone.
 
     Args:
-        n_banks: number of banks, at least 3.
+        n_banks: number of banks, from 3 to :data:`MAX_BANKS`.
         density: target edge density of the directed graph, in (0, 1]. The
             implied mean undirected attachment count ``density * (n - 1) / 2``
             must be at least 0.5.

@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,25 @@ def random_topology(gen: np.random.Generator, n_min=2, n_max=40, require_edge=Tr
     while require_edge and top.n_edges == 0:
         top = gen_erdos_renyi(n, density, gen)
     return top
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, when the block runs longer than ``seconds``."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

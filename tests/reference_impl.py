@@ -16,7 +16,9 @@ patches one (such as ``_REDRAW_LIMIT`` or ``_CHUNK``) patches both sides.
 orders the single-key sorts in ``Topology`` and ``compute_weights`` replace.
 
 ``ref_transmit_shares`` is the pro-rata split of one defaulter's residual
-over its creditors, which the cascade engine performs in bulk.
+over its creditors, which the cascade engine performs in bulk;
+``creditors_of`` reads one debtor's creditors from the weight matrix's
+debtor-indexed CSR views.
 
 ``ref_replicate_grid`` is the original per-ratio replication, with the
 original ``apply_surcharge`` and one-defaulter-at-a-time ``propagate`` loop:
@@ -238,6 +240,12 @@ def ref_debtor_order(creditor, debtor):
     return np.lexsort((creditor, debtor))
 
 
+def creditors_of(weights, debtor: int) -> tuple[np.ndarray, np.ndarray]:
+    """Creditor indices of ``debtor`` and the amounts they are owed."""
+    lo, hi = weights.debtor_ptr[debtor], weights.debtor_ptr[debtor + 1]
+    return weights.debtor_creditors[lo:hi], weights.debtor_amounts[lo:hi]
+
+
 def ref_transmit_shares(weights, debtor: int, residual: float) -> dict[int, float]:
     """Pro-rata split of ``residual`` across the debtor's creditors.
 
@@ -249,7 +257,7 @@ def ref_transmit_shares(weights, debtor: int, residual: float) -> dict[int, floa
     total = float(weights.borrowings[debtor])
     if total == 0.0:
         return {}
-    creditors, amounts = weights.creditors_of(debtor)
+    creditors, amounts = creditors_of(weights, debtor)
     return {
         int(c): float(a) / total * residual for c, a in zip(creditors, amounts)
     }
@@ -321,7 +329,7 @@ def ref_propagate(sheets, weights, state, rule):
                     outgoing = max(residual, owed)
                 else:
                     outgoing = min(residual, owed)
-                creditors, amounts = weights.creditors_of(int(d))
+                creditors, amounts = creditors_of(weights, int(d))
                 live = ~defaulted[creditors]
                 if np.any(live):
                     shares = amounts[live] / owed * outgoing

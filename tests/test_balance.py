@@ -19,11 +19,12 @@ from knockon import (
 from knockon.balance import BALANCE_CSV_HEADER, to_csv
 
 from conftest import random_topology
+from reference_impl import creditors_of
 
 
 def amount(weights, creditor, debtor):
     """The loan amount on edge (creditor, debtor); 0.0 if absent."""
-    cred, amt = weights.creditors_of(debtor)
+    cred, amt = creditors_of(weights, debtor)
     hit = np.flatnonzero(cred == creditor)
     return float(amt[hit[0]]) if hit.size else 0.0
 
@@ -63,13 +64,16 @@ class TestComputeWeights:
             compute_weights(top, 0.0, 0.0, 0.1, 1.0)
 
     def test_rejects_bad_loan_fraction(self, two_bank_topology):
-        for bad in (0.0, 0.5, 0.7, -0.1):
+        for bad in (0.0, 0.5, 0.7, -0.1, float("nan"), float("inf")):
             with pytest.raises(InvalidParameterError, match="Q"):
                 compute_weights(two_bank_topology, 0.0, 0.0, bad, 1.0)
 
     def test_rejects_negative_powers(self, two_bank_topology):
-        with pytest.raises(InvalidParameterError):
-            compute_weights(two_bank_topology, -1.0, 0.0, 0.1, 1.0)
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="power s"):
+                compute_weights(two_bank_topology, bad, 0.0, 0.1, 1.0)
+            with pytest.raises(InvalidParameterError, match="power t"):
+                compute_weights(two_bank_topology, 0.0, bad, 0.1, 1.0)
 
     def test_equal_weights_when_powers_zero(self):
         gen = RngStream(21, 0).generator()
@@ -217,6 +221,11 @@ class TestSurcharge:
             apply_surcharge(bs, -0.01, 0.1)
         with pytest.raises(InvalidParameterError):
             apply_surcharge(bs, 0.02, 1.5)
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(InvalidParameterError, match="R_s"):
+                apply_surcharge(bs, bad, 0.1)
+            with pytest.raises(InvalidParameterError, match="biggest_fraction"):
+                apply_surcharge(bs, 0.02, bad)
 
 
 class TestValidate:

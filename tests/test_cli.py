@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import platform
+import re
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,9 @@ from knockon import (
     write_edge_list,
 )
 from knockon.cli import _SCHEMA, emit_config, main, parse_config
+from knockon.netgen import MAX_BANKS
+
+from conftest import time_limit
 
 REPO = Path(__file__).resolve().parents[1]
 SHIPPED_CONFIGS = sorted(
@@ -164,13 +168,38 @@ class TestConfigErrorsExitTwo:
             (MINIMAL.replace("seed = 42\n", ""), "missing required key 'seed'"),
             (MINIMAL.replace("n = 500", "n = many"), "n: invalid literal"),
             (MINIMAL.replace("r_grid = 0.01:0.10:0.01", "r_grid = 0.01:0.10"), "r_grid: range"),
+            # A range with a non-finite start, stop or step would never end.
+            (MINIMAL.replace("0.01:0.10:0.01", "0.01:0.05:nan"), "r_grid: range"),
+            (MINIMAL.replace("0.01:0.10:0.01", "0.01:inf:0.01"), "r_grid: range"),
+            (MINIMAL.replace("0.01:0.10:0.01", "nan:0.05:0.01"), "r_grid: range"),
+            (MINIMAL.replace("n = 500", f"n = {MAX_BANKS + 1}"), "at most"),
+            (MINIMAL.replace("n = 500", "n = 3037000499").replace("0.005", "1e-18"), "at most"),
+            (MINIMAL.replace("n = 500", "n = 4000000000"), "at most"),
         ],
     )
     def test_sweep_exits_two_without_output(self, tmp_path, capsys, text, message):
         out_dir = tmp_path / "x"
-        code = main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out_dir)])
+        with time_limit(5):
+            code = main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out_dir)])
         assert code == 2
         assert message in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [key.name for key in _SCHEMA if key.parse is float])
+    def test_non_finite_float_exits_two(self, tmp_path, capsys, name, value):
+        cfg = ScenarioConfig(
+            n_banks=50, topology_kind="homogeneous", density=0.1, loan_fraction=0.1,
+            capital_ratio_grid=(0.05,), replications=2, master_seed=1,
+            surcharge=SurchargePolicy(0.01, 0.1),
+        )
+        text, count = re.subn(f"^{name} = .*$", f"{name} = {value}", emit_config(cfg), flags=re.M)
+        assert count == 1
+        out_dir = tmp_path / "x"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out_dir)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
         assert not out_dir.exists()
 
 
@@ -307,6 +336,16 @@ seed = 1
         assert [row[0] for row in rows] == [str(bank) for bank in range(50)]
         assert sum(float(row[-1]) != 0.0 for row in rows) == 5  # floor(0.1 * 50)
         assert "all identities hold" in out
+
+    def test_oversized_bank_count_exits_two(self, tmp_path, capsys):
+        edge_path = tmp_path / "huge.edges"
+        edge_path.write_text("N 4000000000\n0 1\n")
+        _, cfg_path = self.make_pair(tmp_path)
+        out_dir = tmp_path / "report"
+        code = main(["inspect", str(edge_path), "--config", str(cfg_path), "--out", str(out_dir)])
+        assert code == 2
+        assert "at most" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_edgeless_file_fails(self, tmp_path, capsys):
         edge_path = tmp_path / "empty.edges"

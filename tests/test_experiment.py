@@ -108,6 +108,10 @@ class TestConfigValidation:
         with pytest.raises(InvalidParameterError, match="topology"):
             small_config(topology_kind="ring").validate()
 
+    def test_unknown_loss_rule(self):
+        with pytest.raises(InvalidParameterError, match="loss_rule must be amplified or capped"):
+            sweep(small_config(loss_rule="linear"))
+
 
 class TestRunReplication:
     """One replication, seen through ``sweep(...).samples``."""

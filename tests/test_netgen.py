@@ -1,5 +1,3 @@
-import signal
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +18,7 @@ from knockon import (
     write_edge_list,
 )
 from knockon import netgen
+from conftest import time_limit
 from reference_impl import (
     ref_canonical_edges,
     ref_debtor_order,
@@ -29,25 +28,6 @@ from reference_impl import (
 
 ER_MEAN_EDGES = 500 * 499 * 0.005          # 1247.5
 ER_SIGMA = (500 * 499 * 0.005 * 0.995) ** 0.5
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail, rather than hang, when the block runs longer than ``seconds``."""
-    if not hasattr(signal, "SIGALRM"):
-        yield
-        return
-
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def shuffled(edges, seed):
@@ -109,6 +89,25 @@ class TestTopologyValidation:
         t = Topology(3, edges, "external")
         edges[0] = [2, 0]
         assert t.edges.tolist() == [[0, 1], [1, 2]]
+
+
+class TestBankCountBound:
+    def test_largest_bank_count_returns_promptly(self):
+        with time_limit(10):
+            t = gen_erdos_renyi(netgen.MAX_BANKS, 1e-12, RngStream(3, 0))
+        assert t.n_banks == netgen.MAX_BANKS
+        assert np.all(np.diff(pair_index(t)) > 0)
+
+    @pytest.mark.parametrize("n", [netgen.MAX_BANKS + 1, 3_037_000_499, 4_000_000_000])
+    def test_oversized_bank_count_rejected(self, n):
+        # Above MAX_BANKS the homogeneous generator's int64 running sum of
+        # gaps, or its clip at n(n-1) + 1, can overflow.
+        with time_limit(10):
+            for generate in (gen_erdos_renyi, gen_preferential_attachment):
+                with pytest.raises(InvalidParameterError, match="at most"):
+                    generate(n, 1e-18, RngStream(3, 0))
+            with pytest.raises(InvalidParameterError, match="at most"):
+                Topology(n, np.empty((0, 2), dtype=np.int64), "external")
 
 
 def external_edges(n, m, seed):
