@@ -6,7 +6,7 @@ distribution of knock-on default counts over large Monte Carlo ensembles,
 with or without a capital surcharge on the biggest banks.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .balance import (
     BalanceSheetSet,

@@ -136,7 +136,9 @@ def compute_weights(
     The interbank total is ``loan_fraction / (1 - loan_fraction)`` times the
     external total, split across edges proportionally to
     ``out_degree(creditor)**lender_power * in_degree(debtor)**borrower_power``
-    (0**0 evaluates to 1, so zero powers give equal amounts).
+    (0**0 evaluates to 1, so zero powers give equal amounts). Raises
+    InvalidParameterError when the powers are so large that the sum of those
+    products overflows float64.
     """
     check_market(loan_fraction, lender_power, borrower_power, total_external)
     if topology.n_edges == 0:
@@ -145,11 +147,18 @@ def compute_weights(
     stats = degree_stats(topology)
     creditor = topology.edges[:, 0]
     debtor = topology.edges[:, 1]
-    base = np.power(stats.out_degree[creditor].astype(float), lender_power) * np.power(
-        stats.in_degree[debtor].astype(float), borrower_power
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = np.power(stats.out_degree[creditor].astype(float), lender_power) * np.power(
+            stats.in_degree[debtor].astype(float), borrower_power
+        )
+        base_total = base.sum()
+    if not np.isfinite(base_total):
+        raise InvalidParameterError(
+            f"loan shares overflow float64 with powers s={lender_power} and "
+            f"t={borrower_power} on this topology"
+        )
     total_loans = loan_fraction / (1.0 - loan_fraction) * total_external
-    amounts = base / base.sum() * total_loans
+    amounts = base / base_total * total_loans
 
     n = topology.n_banks
     loans = np.bincount(creditor, weights=amounts, minlength=n)

@@ -48,6 +48,9 @@ from .netgen import (
     write_edge_list,
 )
 
+#: The most capital ratios an ``r_grid`` range may give.
+MAX_RANGE_VALUES = 10_000
+
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
@@ -64,15 +67,17 @@ def _parse_grid(text: str) -> tuple[float, ...]:
             raise ValueError(f"range start, stop and step must be finite, got {text!r}")
         if step <= 0:
             raise ValueError(f"range step must be positive, got {step}")
+        # Counted before the loop, and the loop bounded too: rounding to 10
+        # places keeps start + k * step at start for a tiny step.
+        if (stop - start) / step >= MAX_RANGE_VALUES:
+            raise ValueError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
         values = []
-        k = 0
-        while True:
+        for k in range(MAX_RANGE_VALUES + 1):
             value = round(start + k * step, 10)
             if value > stop + step * 1e-9:
-                break
+                return tuple(values)
             values.append(value)
-            k += 1
-        return tuple(values)
+        raise ValueError(f"range {text!r} has more than {MAX_RANGE_VALUES} values")
     return tuple(float(p) for p in text.split(",") if p.strip())
 
 

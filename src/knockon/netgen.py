@@ -12,11 +12,15 @@ undirected relationship graph vertex by vertex, attaching newcomers
 preferentially to well-connected incumbents, then orients each relationship
 as a credit edge, mostly newcomer-borrows-from-incumbent; its out-degree
 distribution is heavy tailed (a heterogeneous market where a few old banks
-lend to much of the market).
+lend to much of the market). It draws each link's candidate target from one
+vectorised uniform, as a copy of an earlier link's target or a fresh pick
+by a static weight, and resolves only copies and repeated targets one at a
+time.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from os import PathLike
@@ -33,25 +37,27 @@ _KINDS = (HOMOGENEOUS, HETEROGENEOUS, EXTERNAL)
 
 #: Version of the generators' draw order, recorded in every sweep manifest.
 #: Any change that alters a topology drawn from a given stream bumps it.
-GENERATOR_VERSION = 2
+GENERATOR_VERSION = 3
 
-# Attachment weight of an existing vertex with degree k is
-# max(k + _ATTRACTIVENESS - m_mean, _ATTACH_FLOOR), where m_mean is the mean
-# link count per arriving vertex. With a constant attractiveness the tail
-# exponent of the degree distribution is 2 + _ATTRACTIVENESS / m_mean, so
-# dense large markets approach the inverse-square tail while sparse small
-# ones stay milder; 4.0 keeps the out-degree survival slope inside
-# [-1.5, -0.6] at the scales this package simulates.
+# Attachment weight of an existing vertex is max(k + _ATTRACTIVENESS -
+# m_mean, _ATTACH_FLOOR) plus the links it has received since, where k is
+# its degree on arrival and m_mean is the mean link count per arriving
+# vertex. With a constant attractiveness the tail exponent of the degree
+# distribution is 2 + _ATTRACTIVENESS / m_mean, so dense large markets
+# approach the inverse-square tail while sparse small ones stay milder; 4.0
+# keeps the out-degree survival slope inside [-1.5, -0.6] at the scales
+# this package simulates.
 _ATTRACTIVENESS = 4.0
 _ATTACH_FLOOR = 1e-9
 _REDRAW_LIMIT = 512
 
+# The uniforms the preferential-attachment generator draws at a time for
+# redrawing repeated targets.
+_SPARE = 256
+
 # The most gaps the homogeneous generator draws in one block, which bounds
-# its memory whatever n(n-1) is, and the chunk in which the
-# preferential-attachment generator replays its uniforms.
+# its memory whatever n(n-1) is.
 _CHUNK = 1 << 16
-# How far the preferential-attachment generator draws ahead of its needs.
-_BLOCK = 4096
 
 #: The most banks a topology may have. A block of :func:`gen_erdos_renyi`
 #: adds at most _CHUNK gaps, each clipped to n(n-1) + 1, to a last pair of
@@ -264,59 +270,6 @@ def check_preferential_attachment(n_banks: int, density: float) -> None:
         )
 
 
-class _UniformBlocks:
-    """The scalar uniforms of a Generator, drawn ahead in blocks.
-
-    ``gen.random(k)`` yields the same doubles as ``k`` calls of
-    ``gen.random()``, so serving draws from a block keeps the stream.
-    :meth:`sync` hands back the read-ahead: it leaves ``gen`` exactly past
-    the draws consumed so far, by restoring the state saved before the first
-    block and drawing the consumed count again. That keeps any buffered
-    32-bit half-word in the bit generator as it was, which
-    ``bit_generator.advance`` would discard.
-    """
-
-    def __init__(self, gen: np.random.Generator):
-        self.gen = gen
-        self._reset()
-
-    def _reset(self) -> None:
-        self._saved: dict | None = None
-        self._drawn = 0
-        self._block = np.empty(0)
-        self._list: list[float] = []
-        self._pos = 0
-
-    def _fill(self, k: int) -> None:
-        if self._saved is None:
-            self._saved = self.gen.bit_generator.state
-        fresh = self.gen.random(max(k, _BLOCK))
-        self._drawn += fresh.size
-        self._block = np.concatenate((self._block[self._pos:], fresh))
-        self._list = self._block.tolist()
-        self._pos = 0
-
-    def scalar(self) -> float:
-        if self._pos == len(self._list):
-            self._fill(1)
-        self._pos += 1
-        return self._list[self._pos - 1]
-
-    def vector(self, k: int) -> np.ndarray:
-        if self._pos + k > len(self._list):
-            self._fill(k)
-        self._pos += k
-        return self._block[self._pos - k : self._pos]
-
-    def sync(self) -> None:
-        if self._saved is not None:
-            consumed = self._drawn - (len(self._list) - self._pos)
-            self.gen.bit_generator.state = self._saved
-            for start in range(0, consumed, _CHUNK):
-                self.gen.random(min(_CHUNK, consumed - start))
-        self._reset()
-
-
 def gen_preferential_attachment(
     n_banks: int, density: float, rng: RngStream | np.random.Generator
 ) -> Topology:
@@ -334,13 +287,36 @@ def gen_preferential_attachment(
     log-log axes at large scales; a few old banks lend to a large share of
     the market.
 
-    The draw order is part of the reproducibility contract: per arrival one
-    uniform for its link count, then one per candidate target until enough
-    distinct ones are found (a ``gen.choice`` fills in after
-    ``_REDRAW_LIMIT`` repeats); then per relationship one uniform for its
-    direction, or two when it may be reciprocal. Uniforms are drawn ahead in
-    blocks, but the generator is left just past the ones used, as if each
-    had been drawn alone.
+    Vertex u's attachment weight is a constant ``a_u`` plus the count
+    ``r_u`` of arrival links it has received, so one candidate is drawn from
+    an exact two-part mixture: copy the target of a uniformly chosen earlier
+    arrival link, or pick u in proportion to ``a_u`` (the copy model of
+    Kleinberg et al., COCOON 1999; the edge-skipping idea of Batagelj and
+    Brandes, Phys. Rev. E 71, 036113, 2005). The draw order is part of the
+    reproducibility contract (generator version 3):
+
+    1. ``gen.random(n - seed_size)``: arrival v takes ``m_v = floor(b) + 1``
+       links if its uniform is below the fraction of ``b``, the running
+       budget over the arrivals left, else ``floor(b)``; at most v.
+    2. The weights are ``a_u = max(seed_size - 1 + shift, _ATTACH_FLOOR)``
+       in the seed clique and ``max(m_u + shift, _ATTACH_FLOOR)`` after it.
+       Arrival v sees ``R_v`` earlier arrival links and ``A_v``, the sum of
+       ``a_u`` over u < v.
+    3. ``gen.random(L)``, one uniform u per arrival link in arrival order.
+       With ``x = u * (R_v + A_v)``, the candidate is the final target of
+       arrival link ``floor(x)`` if ``x < R_v``, else the first u whose
+       running sum of ``a`` exceeds ``x - R_v``, at most ``v - 1``.
+    4. A candidate the arrival already links to is redrawn from the same
+       mixture, with uniforms served in order from ``gen.random(_SPARE)``
+       blocks drawn when needed. After ``_REDRAW_LIMIT`` repeats in one
+       arrival, ``gen.choice(v, rest, replace=False, p)`` fills its
+       remaining links, with p proportional to ``a_u + r_u`` and zero on the
+       targets taken.
+    5. ``gen.random(k)`` over the k relationships, seed clique first, then
+       arrival links in order: below ``_BORROW_FROM_INCUMBENT`` the
+       newcomer borrows. When relationships may be reciprocal it is a
+       ``(k, 2)`` block: the first column below the reciprocal share gives
+       both directions, else the second column decides as above.
 
     Args:
         n_banks: number of banks, from 3 to :data:`MAX_BANKS`.
@@ -369,72 +345,88 @@ def gen_preferential_attachment(
     mean_per_arrival = budget / arrivals if arrivals else 0.0
     shift = _ATTRACTIVENESS - mean_per_arrival
 
-    degree = [seed_size - 1] * seed_size + [0] * arrivals
-    attach_w = np.full(n, _ATTACH_FLOOR)
-    attach_w[:seed_size] = max(seed_size - 1 + shift, _ATTACH_FLOOR)
-
-    links: list[tuple[int, int]] = [
-        (a, b) for a in range(seed_size) for b in range(a + 1, seed_size)
-    ]
-
-    draws = _UniformBlocks(gen)
-    for v in range(seed_size, n):
-        m_mean = max(budget, 0.0) / (n - v)
-        m_lo = math.floor(m_mean)
-        m = m_lo + (1 if draws.scalar() < m_mean - m_lo else 0)
-        m = min(m, v)
-        if m > 0:
-            cum = attach_w[:v].cumsum()
-            total_w = float(cum[-1])
-            # Searching all but the last partial sum puts a draw that rounds
-            # up to total_w on the last incumbent, v - 1.
-            head = cum[:-1]
-            chosen: set[int] = set()
-            attempts = 0
-            while len(chosen) < m and attempts < _REDRAW_LIMIT:
-                # Neither bound can be reached before the k-th draw, so a
-                # one-at-a-time loop would have made all k of them.
-                k = min(m - len(chosen), _REDRAW_LIMIT - attempts)
-                targets = head.searchsorted(draws.vector(k) * total_w, side="right")
-                for target in targets.tolist():
-                    if target in chosen:
-                        attempts += 1
-                    else:
-                        chosen.add(target)
-            if len(chosen) < m:
-                # Redraw limit hit under an extremely dominant hub: fill the
-                # remainder by an explicit weighted draw without replacement.
-                draws.sync()
-                probs = attach_w[:v].copy()
-                probs[list(chosen)] = 0.0
-                probs /= probs.sum()
-                extra = gen.choice(v, size=m - len(chosen), replace=False, p=probs)
-                chosen.update(int(t) for t in extra)
-            for target in sorted(chosen):
-                links.append((target, v))
-                degree[target] += 1
-                attach_w[target] = max(degree[target] + shift, _ATTACH_FLOOR)
-            degree[v] = m
-        attach_w[v] = max(degree[v] + shift, _ATTACH_FLOOR)
+    counts = []
+    for v, u in zip(range(seed_size, n), gen.random(arrivals).tolist()):
+        m_mean = (budget if budget > 0.0 else 0.0) / (n - v)
+        m = int(m_mean)
+        if u < m_mean - m:
+            m += 1
+        if m > v:
+            m = v
+        counts.append(m)
         budget -= m
 
+    m_arr = np.asarray(counts, dtype=np.int64)
+    attach = np.empty(n)
+    attach[:seed_size] = max(seed_size - 1 + shift, _ATTACH_FLOOR)
+    attach[seed_size:] = np.maximum(m_arr + shift, _ATTACH_FLOOR)
+    cum = attach.cumsum()
+
+    # Arrival v's first link and the total weight R_v + A_v it draws from.
+    first = np.zeros(n, dtype=np.int64)
+    first[seed_size:] = np.cumsum(m_arr) - m_arr
+    scale = first + np.concatenate(([0.0], cum[:-1]))
+    owner = np.repeat(np.arange(seed_size, n), m_arr)
+    earlier = first[owner]
+    x = gen.random(owner.size) * scale[owner]
+    fresh = np.minimum(cum.searchsorted(x - earlier, side="right"), owner - 1)
+    # A copy of arrival link k is held as ~k until the pass below resolves it.
+    targets = np.where(x < earlier, ~x.astype(np.int64), fresh).tolist()
+
+    # One pass in link order resolves copies and redraws repeats: taken[u]
+    # is the last arrival that linked to u.
+    cum_list = cum.tolist()
+    first_list = first.tolist()
+    scale_list = scale.tolist()
+    taken = [-1] * n
+    repeats = [0] * n
+    spare: list[float] = []
+    for j, v in enumerate(owner.tolist()):
+        target = targets[j]
+        if target < 0:
+            target = targets[~target]
+        while taken[target] == v:
+            lo = first_list[v]
+            repeats[v] += 1
+            if repeats[v] == _REDRAW_LIMIT:
+                # Redraw limit hit, as on dense markets whose constant
+                # weights sit at the floor: fill the arrival's remaining
+                # links by an explicit weighted draw without replacement.
+                # They are distinct and new to v, so the pass takes them as
+                # they stand.
+                weights = attach[:v] + np.bincount(
+                    np.asarray(targets[:lo], dtype=np.int64), minlength=v
+                )
+                weights[targets[lo:j]] = 0.0
+                rest = lo + counts[v - seed_size] - j
+                picks = gen.choice(v, size=rest, replace=False, p=weights / weights.sum())
+                targets[j : j + rest] = picks.tolist()
+                target = targets[j]
+                break
+            if not spare:
+                spare = gen.random(_SPARE).tolist()[::-1]
+            y = spare.pop() * scale_list[v]
+            if y < lo:
+                target = targets[int(y)]
+            else:
+                target = min(bisect.bisect_right(cum_list, y - lo), v - 1)
+        taken[target] = v
+        targets[j] = target
+
+    pairs = np.concatenate(
+        (
+            np.column_stack(np.triu_indices(seed_size, 1)),
+            np.column_stack((np.asarray(targets, dtype=np.int64), owner)),
+        )
+    )
     if reciprocal == 0.0:
-        draws.sync()
-        pairs = np.asarray(links, dtype=np.int64)
-        lend = gen.random(len(links)) < _BORROW_FROM_INCUMBENT
+        lend = gen.random(len(pairs)) < _BORROW_FROM_INCUMBENT
         edge_array = np.where(lend[:, None], pairs, pairs[:, ::-1])
     else:
-        edges: list[tuple[int, int]] = []
-        for incumbent, newcomer in links:
-            if draws.scalar() < reciprocal:
-                edges.append((incumbent, newcomer))
-                edges.append((newcomer, incumbent))
-            elif draws.scalar() < _BORROW_FROM_INCUMBENT:
-                edges.append((incumbent, newcomer))
-            else:
-                edges.append((newcomer, incumbent))
-        draws.sync()
-        edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        draws = gen.random((len(pairs), 2))
+        both = draws[:, 0] < reciprocal
+        lend = draws[:, 1] < _BORROW_FROM_INCUMBENT
+        edge_array = np.concatenate((pairs[both | lend], pairs[both | ~lend][:, ::-1]))
     return Topology(n, edge_array, HETEROGENEOUS)
 
 

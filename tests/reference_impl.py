@@ -12,6 +12,9 @@ random stream every seed reproduces, so the vectorised generators must
 yield equal topologies and leave the Generator at the same point. They read
 the tuning constants from ``knockon.netgen`` at call time, so a test that
 patches one (such as ``_REDRAW_LIMIT`` or ``_CHUNK``) patches both sides.
+``ref_gen_preferential_attachment_v1`` keeps the previous heterogeneous
+draw, one search over every incumbent's current weight per candidate, as
+an oracle for the distribution rather than the stream.
 ``ref_canonical_edges`` and ``ref_debtor_order`` are the ``np.lexsort``
 orders the single-key sorts in ``Topology`` and ``compute_weights`` replace.
 
@@ -28,7 +31,9 @@ must give equal default counts and bit-equal default events.
 
 from __future__ import annotations
 
+import bisect
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -142,11 +147,9 @@ def ref_gen_erdos_renyi(n_banks, density, rng):
     return netgen.Topology(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2), netgen.HOMOGENEOUS)
 
 
-def ref_gen_preferential_attachment(n_banks, density, rng):
-    """Heterogeneous topology drawing one scalar uniform per decision."""
-    n = int(n_banks)
+def _ref_check_preferential_attachment(n, density):
     if n < 3:
-        raise InvalidParameterError(f"n_banks must be at least 3, got {n_banks}")
+        raise InvalidParameterError(f"n_banks must be at least 3, got {n}")
     if not 0.0 < density <= 1.0:
         raise InvalidParameterError(f"density must lie in (0, 1], got {density}")
     if density * (n - 1) / 2.0 < 0.5:
@@ -154,8 +157,11 @@ def ref_gen_preferential_attachment(n_banks, density, rng):
             f"density {density} is infeasible at n={n}: mean attachment "
             f"{density * (n - 1) / 2.0:.3f} is below 0.5"
         )
-    gen = netgen._as_generator(rng)
 
+
+def _ref_growth_plan(n, density):
+    """The reciprocal share, seed clique size, link budget and weight shift
+    that both versions of the heterogeneous generator start from."""
     directed_target = density * n * (n - 1)
     max_links = n * (n - 1) / 2.0
     # Single-direction edges can realize at most half of the possible ordered
@@ -168,6 +174,115 @@ def ref_gen_preferential_attachment(n_banks, density, rng):
     arrivals = n - seed_size
     mean_per_arrival = budget / arrivals if arrivals else 0.0
     shift = netgen._ATTRACTIVENESS - mean_per_arrival
+    return reciprocal, seed_size, budget, shift
+
+
+def _ref_link_count(budget, remaining, uniform, v):
+    m_mean = max(budget, 0.0) / remaining
+    m_lo = math.floor(m_mean)
+    return min(m_lo + (1 if uniform < m_mean - m_lo else 0), v)
+
+
+def ref_gen_preferential_attachment(n_banks, density, rng):
+    """Heterogeneous topology in generator version 3's draw order, one
+    scalar uniform at a time.
+
+    First a uniform per arrival for its link count, then one per arrival
+    link for its first candidate. An arrival's candidate copies the target
+    of a uniformly chosen earlier arrival link, or picks an incumbent by its
+    constant weight; both cells are searched on one running sum. Repeats are
+    redrawn from uniforms taken ``_SPARE`` at a time, with the
+    ``gen.choice`` fallback after ``_REDRAW_LIMIT`` of them in one arrival.
+    Last, one uniform per relationship, or two when it may be reciprocal.
+    """
+    n = int(n_banks)
+    _ref_check_preferential_attachment(n, density)
+    gen = netgen._as_generator(rng)
+    reciprocal, seed_size, budget, shift = _ref_growth_plan(n, density)
+
+    counts = {}
+    for v in range(seed_size, n):
+        counts[v] = _ref_link_count(budget, n - v, gen.random(), v)
+        budget -= counts[v]
+
+    weight = [max(seed_size - 1 + shift, netgen._ATTACH_FLOOR)] * seed_size
+    weight += [max(counts[v] + shift, netgen._ATTACH_FLOOR) for v in range(seed_size, n)]
+    running = []
+    total = 0.0
+    for w in weight:
+        total += w
+        running.append(total)
+
+    first = [gen.random() for _ in range(sum(counts.values()))]
+    spare = []
+
+    def spare_uniform():
+        if not spare:
+            spare.extend(gen.random() for _ in range(netgen._SPARE))
+        return spare.pop(0)
+
+    targets = []   # final target of every arrival link, in link order
+    links = [(a, b) for a in range(seed_size) for b in range(a + 1, seed_size)]
+    for v in range(seed_size, n):
+        before = len(targets)
+
+        def candidate(uniform):
+            x = uniform * (before + running[v - 1])
+            if x < before:
+                return targets[int(x)]
+            return min(bisect.bisect_right(running, x - before), v - 1)
+
+        chosen = []
+        repeats = 0
+        for slot in range(counts[v]):
+            target = candidate(first[before + slot])
+            while target in chosen and repeats < netgen._REDRAW_LIMIT:
+                repeats += 1
+                if repeats < netgen._REDRAW_LIMIT:
+                    target = candidate(spare_uniform())
+            if target in chosen:
+                # Redraw limit hit: the rest by an explicit weighted draw
+                # without replacement over a_u + r_u.
+                received = Counter(targets)
+                probs = np.array(
+                    [0.0 if u in chosen else weight[u] + received[u] for u in range(v)]
+                )
+                extra = gen.choice(
+                    v, size=counts[v] - len(chosen), replace=False, p=probs / probs.sum()
+                )
+                chosen.extend(int(t) for t in extra)
+                break
+            chosen.append(target)
+        targets.extend(chosen)
+        links.extend((t, v) for t in chosen)
+
+    edges: list[tuple[int, int]] = []
+    for incumbent, newcomer in links:
+        if reciprocal > 0.0:
+            both, lend = gen.random(), gen.random()
+        else:
+            both, lend = 1.0, gen.random()
+        if both < reciprocal:
+            edges.append((incumbent, newcomer))
+            edges.append((newcomer, incumbent))
+        elif lend < netgen._BORROW_FROM_INCUMBENT:
+            edges.append((incumbent, newcomer))
+        else:
+            edges.append((newcomer, incumbent))
+    edge_array = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return netgen.Topology(n, edge_array, netgen.HETEROGENEOUS)
+
+
+def ref_gen_preferential_attachment_v1(n_banks, density, rng):
+    """Heterogeneous topology in generator version 2's draw order, one
+    scalar uniform per decision: each candidate is one search of the
+    running sum of every incumbent's current weight. Its stream differs
+    from version 3's, but its topologies have the same distribution, so it
+    serves as an independent distribution oracle."""
+    n = int(n_banks)
+    _ref_check_preferential_attachment(n, density)
+    gen = netgen._as_generator(rng)
+    reciprocal, seed_size, budget, shift = _ref_growth_plan(n, density)
 
     degree = np.zeros(n, dtype=np.int64)
     degree[:seed_size] = seed_size - 1
@@ -179,12 +294,7 @@ def ref_gen_preferential_attachment(n_banks, density, rng):
     ]
 
     for v in range(seed_size, n):
-        remaining = n - v
-        m_mean = max(budget, 0.0) / remaining
-        m_lo = math.floor(m_mean)
-        frac = m_mean - m_lo
-        m = m_lo + (1 if gen.random() < frac else 0)
-        m = min(m, v)
+        m = _ref_link_count(budget, n - v, gen.random(), v)
         if m > 0:
             cum = np.cumsum(attach_w[:v])
             total_w = float(cum[-1])

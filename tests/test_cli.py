@@ -19,8 +19,9 @@ from knockon import (
     gen_erdos_renyi,
     write_edge_list,
 )
-from knockon.cli import _SCHEMA, emit_config, main, parse_config
-from knockon.netgen import MAX_BANKS
+from knockon import __version__
+from knockon.cli import _SCHEMA, MAX_RANGE_VALUES, _parse_grid, emit_config, main, parse_config
+from knockon.netgen import GENERATOR_VERSION, MAX_BANKS
 
 from conftest import time_limit
 
@@ -152,6 +153,19 @@ class TestParseConfig:
         )
 
 
+def test_package_version_is_written_once():
+    pyproject = (REPO / "pyproject.toml").read_text()
+    assert re.findall(r'^version = "(.*)"$', pyproject, flags=re.M) == [__version__]
+
+
+def test_range_count_cap():
+    assert len(_parse_grid("0.00001:0.1:0.00001")) == MAX_RANGE_VALUES
+    assert _parse_grid("0.01:0.05:0.01") == (0.01, 0.02, 0.03, 0.04, 0.05)
+    for text in ("0.00001:0.10001:0.00001", "0.01:0.01:1e-300"):
+        with time_limit(5), pytest.raises(ValueError, match="more than 10000 values"):
+            _parse_grid(text)
+
+
 class TestConfigErrorsExitTwo:
     @pytest.mark.parametrize(
         "text, message",
@@ -172,6 +186,10 @@ class TestConfigErrorsExitTwo:
             (MINIMAL.replace("0.01:0.10:0.01", "0.01:0.05:nan"), "r_grid: range"),
             (MINIMAL.replace("0.01:0.10:0.01", "0.01:inf:0.01"), "r_grid: range"),
             (MINIMAL.replace("0.01:0.10:0.01", "nan:0.05:0.01"), "r_grid: range"),
+            # Ranges with a huge count would grow until memory runs out.
+            (MINIMAL.replace("0.01:0.10:0.01", "0.01:1e12:0.01"), "r_grid: range"),
+            (MINIMAL.replace("0.01:0.10:0.01", "0.01:0.5:1e-15"), "r_grid: range"),
+            (MINIMAL.replace("0.01:0.10:0.01", "0.01:0.01:1e-300"), "r_grid: range"),
             (MINIMAL.replace("n = 500", f"n = {MAX_BANKS + 1}"), "at most"),
             (MINIMAL.replace("n = 500", "n = 3037000499").replace("0.005", "1e-18"), "at most"),
             (MINIMAL.replace("n = 500", "n = 4000000000"), "at most"),
@@ -380,8 +398,6 @@ class TestSweepCommand:
         assert len(csv_lines) == 3
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert manifest["tool"] == "knockon"
-        from knockon import __version__
-
         assert manifest["version"] == __version__
         assert manifest["config"]["seed"] == 7
         assert manifest["config"]["replications"] == 50
@@ -391,7 +407,7 @@ class TestSweepCommand:
         assert all(s >= 0.0 for s in manifest["per_layer_seconds"].values())
         assert manifest["numpy_version"] == np.__version__
         assert manifest["python_version"] == platform.python_version()
-        assert manifest["generator_version"] == 2
+        assert manifest["generator_version"] == GENERATOR_VERSION
         assert manifest["total_seconds"] > 0.0
         for path in manifest["outputs"].values():
             assert Path(path).parent == out_dir
@@ -501,6 +517,18 @@ class TestSweepCommand:
         code = main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "x")])
         assert code == 3
         assert "Unable to allocate" in capsys.readouterr().err
+
+    def test_weight_overflow_exits_three(self, tmp_path, capsys):
+        # degree**400 overflows float64, which left every loan amount NaN.
+        text = SWEEP_CFG.replace("n = 80", "n = 200").replace("p = 0.05", "p = 0.1")
+        text = text.replace("Q = 0.1", "Q = 0.1\ns = 400")
+        out_dir = tmp_path / "x"
+        code = main(["sweep", "--config", str(write_cfg(tmp_path, text)), "--out", str(out_dir)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err and "s=400" in err
+        assert not out_dir.exists()
 
     def test_runtime_error_exit_code(self, tmp_path, capsys):
         cfg_path = write_cfg(tmp_path, SWEEP_CFG.replace("p = 0.05", "p = 0"))

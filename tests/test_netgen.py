@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -24,6 +25,7 @@ from reference_impl import (
     ref_debtor_order,
     ref_gen_erdos_renyi,
     ref_gen_preferential_attachment,
+    ref_gen_preferential_attachment_v1,
 )
 
 ER_MEAN_EDGES = 500 * 499 * 0.005          # 1247.5
@@ -369,8 +371,9 @@ class TestSameStreamAsReference:
 
     @pytest.mark.parametrize("n, density", [(500, 0.05), (30, 0.7), (12, 1.0)])
     def test_preferential_attachment_fallback(self, monkeypatch, n, density):
-        # At the default limit the gen.choice fallback never fires; at 1 it
-        # fires on the first repeated target.
+        # At the default limit the gen.choice fallback fires only on dense
+        # markets (see TestDenseAttachmentTerminates); at 1 it fires on the
+        # first repeated target.
         monkeypatch.setattr(netgen, "_REDRAW_LIMIT", 1)
         assert_same_stream(
             gen_preferential_attachment, ref_gen_preferential_attachment,
@@ -412,6 +415,71 @@ class TestSameStreamAsReference:
         assert_same_stream(
             gen_erdos_renyi, ref_gen_erdos_renyi, n, density, range(3), shared=True
         )
+
+
+def ks_pvalue(a, b):
+    """Asymptotic p-value of the two-sample Kolmogorov-Smirnov statistic
+    (Numerical Recipes' probks); conservative for discrete samples."""
+    a, b = np.sort(a), np.sort(b)
+    grid = np.union1d(a, b)
+    gap = np.abs(
+        np.searchsorted(a, grid, side="right") / a.size
+        - np.searchsorted(b, grid, side="right") / b.size
+    ).max()
+    root = math.sqrt(a.size * b.size / (a.size + b.size))
+    lam = (root + 0.12 + 0.11 / root) * gap
+    if lam < 0.3:
+        return 1.0
+    k = np.arange(1, 101)
+    return float(np.clip(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * (k * lam) ** 2)), 0.0, 1.0))
+
+
+class TestMixtureDrawDistribution:
+    def test_degrees_match_single_search_draw(self):
+        # The copy-or-fresh mixture against the version 2 draw, which
+        # searched one running sum of every incumbent's current weight:
+        # pooled degrees over 200 topologies at the benchmark's market.
+        ours = [gen_preferential_attachment(500, 0.005, RngStream(31, k)) for k in range(200)]
+        theirs = [
+            ref_gen_preferential_attachment_v1(500, 0.005, RngStream(32, k)) for k in range(200)
+        ]
+        for column in (0, 1):
+            a = np.concatenate([np.bincount(t.edges[:, column], minlength=500) for t in ours])
+            b = np.concatenate([np.bincount(t.edges[:, column], minlength=500) for t in theirs])
+            assert ks_pvalue(a, b) > 0.001, column
+
+
+class CountingGenerator(np.random.Generator):
+    """A Generator that counts its ``choice`` calls."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return super().choice(*args, **kwargs)
+
+
+class TestDenseAttachmentTerminates:
+    @pytest.mark.parametrize(
+        "n, density", [(12, 1.0), (30, 0.7), (100, 0.3), (500, 0.2), (1000, 0.1)]
+    )
+    def test_dense_markets_return(self, n, density):
+        # On dense markets m + shift falls below zero for many banks, so
+        # their constant weights sit at the floor and repeats abound; the
+        # redraw limit and its fallback must end each arrival.
+        with time_limit(30):
+            for k in range(3):
+                t = gen_preferential_attachment(n, density, RngStream(5, k))
+                assert t.kind == "heterogeneous" and t.n_banks == n
+                assert t.n_edges >= density * n * (n - 1) * 0.9
+
+    def test_fallback_fires(self):
+        gen = CountingGenerator(7)
+        with time_limit(30):
+            gen_preferential_attachment(500, 0.2, gen)
+        assert gen.choices > 0
 
 
 class TestDegreeStats:
