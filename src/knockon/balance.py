@@ -164,7 +164,13 @@ def compute_weights(
     loans = np.bincount(creditor, weights=amounts, minlength=n)
     borrowings = np.bincount(debtor, weights=amounts, minlength=n)
 
-    order = np.argsort(debtor * n + creditor)
+    # Edges are in (creditor, debtor) order without duplicates, so a stable
+    # sort by debtor alone orders them by (debtor, creditor). numpy sorts
+    # 16-bit keys stably by radix; past that the unique int64 key is faster.
+    if n <= 1 << 16:
+        order = np.argsort(debtor.astype(np.uint16), kind="stable")
+    else:
+        order = np.argsort(debtor * n + creditor)
     counts = np.bincount(debtor, minlength=n)
     debtor_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
 

@@ -146,8 +146,11 @@ def propagate_grid(
     counts = np.zeros(rows, dtype=np.int64)
     log: list[tuple[np.ndarray, np.ndarray, np.ndarray]] | None = [] if collect else None
 
+    # Distress only grows where it is delivered, so after the first round
+    # no bank past the last row that received any can newly default.
+    end = rows * n
     while True:
-        hit = np.flatnonzero(~defaulted & (worth <= distress))
+        hit = np.flatnonzero(~defaulted[:end] & (worth[:end] <= distress[:end]))
         if hit.size == 0:
             return counts, log
         defaulted[hit] = True
@@ -167,6 +170,7 @@ def propagate_grid(
         which, edge, target = which[live], edge[live], target[live]
         shares = weights.debtor_amounts[edge] / owed[which] * outgoing[which]
         np.add.at(distress, target, shares)
+        end = (row[which[-1]] + 1) * n if which.size else 0
         if log is not None:
             bounds = np.searchsorted(which, np.arange(hit.size + 1)).tolist()
             sent = [shares[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]

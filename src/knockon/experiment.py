@@ -173,10 +173,32 @@ def percentile(samples, quantile: float):
         raise InvalidParameterError("percentile of an empty sample list")
     if not 0.0 < quantile <= 1.0:
         raise InvalidParameterError(f"quantile must lie in (0, 1], got {quantile}")
-    # The 1e-12 slack keeps float noise in q*n from bumping the rank up.
-    rank = max(1, math.ceil(quantile * data.size - 1e-12))
-    value = data[rank - 1]
+    value = data[_nearest_rank(quantile, data.size) - 1]
     return int(value) if np.issubdtype(data.dtype, np.integer) else float(value)
+
+
+def _nearest_rank(quantile: float, size: int) -> int:
+    """The 1-based rank ceil(q * size) of the nearest-rank percentile."""
+    # The 1e-12 slack keeps float noise in q*n from bumping the rank up.
+    return max(1, math.ceil(quantile * size - 1e-12))
+
+
+def _records(grid, samples: np.ndarray) -> tuple[SweepRecord, ...]:
+    """Each ratio's statistics over its row of the (ratio x replication)
+    default counts, all rows taken from one sort: the same values as
+    :func:`percentile`, ``mean``, ``std(ddof=1)`` and ``max`` per row."""
+    reps = samples.shape[1]
+    ordered = np.sort(samples, axis=1)
+    means = samples.mean(axis=1)
+    stds = samples.std(axis=1, ddof=1) if reps > 1 else np.zeros(len(grid))
+    knock_on = np.count_nonzero(samples >= 2, axis=1) / reps
+    ranks = [_nearest_rank(q, reps) - 1 for q in (0.90, 0.95, 0.99)]
+    # Columns in SweepRecord field order after the ratio.
+    columns = (means, stds, *ordered[:, ranks].T, ordered[:, -1], knock_on)
+    return tuple(
+        SweepRecord(float(ratio), *values)
+        for ratio, *values in zip(grid, *(column.tolist() for column in columns))
+    )
 
 
 def _make_topology(cfg: ScenarioConfig, gen: np.random.Generator) -> Topology:
@@ -327,27 +349,9 @@ def sweep(
             # After a failure, queued chunks are dropped rather than run.
             pool.shutdown(cancel_futures=True)
 
-    records = []
-    for idx, ratio in enumerate(grid):
-        row = samples[idx]
-        mean = float(row.mean())
-        std = float(row.std(ddof=1)) if reps > 1 else 0.0
-        records.append(
-            SweepRecord(
-                capital_ratio=float(ratio),
-                mean=mean,
-                std=std,
-                p90=percentile(row, 0.90),
-                p95=percentile(row, 0.95),
-                p99=percentile(row, 0.99),
-                max_defaults=int(row.max()),
-                knock_on_fraction=float(np.count_nonzero(row >= 2)) / reps,
-            )
-        )
-
     return SweepResult(
         config=cfg,
-        records=tuple(records),
+        records=_records(grid, samples),
         realized_density_mean=float(densities.mean()),
         samples=samples,
         per_layer_seconds={layer: float(s) for layer, s in zip(LAYERS, seconds)},

@@ -317,3 +317,50 @@ class TestPropagateGrid:
             want_count, want_order = ref_cascade(n, weights, external, ref_worth, bank, rule.value)
             assert count == result.n_defaults == want_count
             assert list(result.default_set) == want_order
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 30),
+        density=st.floats(0.05, 0.9),
+        loan_fraction=st.floats(0.05, 0.45),
+        ratios=st.lists(st.floats(0.005, 0.5), min_size=2, max_size=8, unique=True),
+        rule=st.sampled_from(LossRule),
+        data=st.data(),
+    )
+    def test_rows_in_any_order_match_one_call_per_row(
+        self, seed, n, density, loan_fraction, ratios, rule, data
+    ):
+        """Each round scans only up to the last row that received distress;
+        with the ratios unsorted, every row must still end bit-equal to a
+        call on that row alone."""
+        top = gen_erdos_renyi(n, density, RngStream(seed, 0))
+        assume(top.n_edges > 0)
+        bank = data.draw(st.integers(0, n - 1))
+        wm = compute_weights(top, 0.0, 0.0, loan_fraction, 1.0)
+        bs = build_balance_sheets(wm, loan_fraction, 0.5, 1.0)
+        worth = np.array(ratios)[:, None] * bs.liabilities
+        distress = np.zeros_like(worth)
+        distress[:, bank] = bs.external_assets[bank]
+        start = distress.copy()
+        defaulted = np.zeros(worth.shape, dtype=bool)
+        counts, log = propagate_grid(worth, distress, defaulted, wm, rule, collect=True)
+
+        for g in range(len(ratios)):
+            row_distress = start[g : g + 1].copy()
+            row_defaulted = np.zeros((1, n), dtype=bool)
+            row_counts, row_log = propagate_grid(
+                worth[g : g + 1], row_distress, row_defaulted, wm, rule, collect=True
+            )
+            assert distress[g].tobytes() == row_distress[0].tobytes()
+            assert np.array_equal(defaulted[g], row_defaulted[0])
+            assert counts[g] == row_counts[0]
+            rounds = []
+            for hit, at_default, sent in log:
+                mine = hit // n == g
+                if mine.any():
+                    rounds.append((hit[mine] - g * n, at_default[mine], sent[mine]))
+            assert len(rounds) == len(row_log)
+            for got, want in zip(rounds, row_log):
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -2,6 +2,9 @@ from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from knockon import (
     InvalidParameterError,
@@ -228,6 +231,41 @@ class TestBatchedGridMatchesPerRatio:
             self.assert_same(cfg, counts, results, RngStream(cfg.master_seed, k).generator())
 
 
+class TestRecords:
+    """sweep takes every ratio's statistics from one sort of the samples;
+    they must equal the per-row formulas exactly."""
+
+    @staticmethod
+    def assert_per_row(samples):
+        grid = tuple(0.01 * (g + 1) for g in range(samples.shape[0]))
+        reps = samples.shape[1]
+        records = experiment._records(grid, samples)
+        assert len(records) == len(grid)
+        for rec, ratio, row in zip(records, grid, samples):
+            assert rec.capital_ratio == ratio
+            assert rec.mean == float(row.mean())
+            assert rec.std == (float(row.std(ddof=1)) if reps > 1 else 0.0)
+            assert [rec.p90, rec.p95, rec.p99] == [percentile(row, q) for q in (0.90, 0.95, 0.99)]
+            assert rec.max_defaults == int(row.max())
+            assert rec.knock_on_fraction == float(np.count_nonzero(row >= 2)) / reps
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        rows=st.integers(1, 5),
+        reps=st.one_of(st.sampled_from([1, 2]), st.integers(1, 400)),
+        high=st.sampled_from([1, 3, 2000]),
+        data=st.data(),
+    )
+    def test_equal_per_row(self, rows, reps, high, data):
+        # A small ``high`` gives many ties.
+        samples = data.draw(arrays(np.int64, (rows, reps), elements=st.integers(0, high)))
+        self.assert_per_row(samples)
+
+    def test_rows_longer_than_numpy_buffer(self):
+        # 10,000 replications exceed numpy's 8,192-element reduction buffer.
+        self.assert_per_row(np.random.default_rng(5).integers(0, 2000, size=(3, 10_000)))
+
+
 class TestSweep:
     def test_degenerate_single_cell(self):
         cfg = small_config(capital_ratio_grid=(0.05,), replications=1)
@@ -244,14 +282,12 @@ class TestSweep:
         assert result.samples.shape == (3, cfg.replications)
         for idx, rec in enumerate(result.records):
             row = result.samples[idx]
-            assert rec.mean == pytest.approx(row.mean())
-            assert rec.std == pytest.approx(row.std(ddof=1))
+            assert rec.mean == row.mean()
+            assert rec.std == row.std(ddof=1)
             assert rec.max_defaults == row.max()
-            assert rec.knock_on_fraction == pytest.approx(
-                np.count_nonzero(row >= 2) / row.size
-            )
+            assert rec.knock_on_fraction == np.count_nonzero(row >= 2) / row.size
             assert rec.p90 <= rec.p95 <= rec.p99 <= rec.max_defaults
-            assert rec.mean_plus_std == pytest.approx(rec.mean + rec.std)
+            assert rec.mean_plus_std == rec.mean + rec.std
 
     def test_worker_count_does_not_change_results(self):
         cfg = small_config(replications=30)

@@ -120,9 +120,15 @@ def external_edges(n, m, seed):
     return shuffled(pairs, seed)
 
 
+def edges_with_last_bank(n):
+    """Sparse random pairs plus one loan each way between banks 0 and n - 1."""
+    return np.unique(np.vstack([external_edges(n, 20_000, n), [[0, n - 1], [n - 1, 0]]]), axis=0)
+
+
 class TestCanonicalKey:
-    """Topology sorts on one int64 key per edge and compute_weights on
-    another; both must give the np.lexsort orders they replace."""
+    """Topology sorts on one int64 key per edge, and compute_weights on a
+    16-bit debtor key up to n = 2**16 and another int64 key above; all must
+    give the np.lexsort orders they replace."""
 
     @pytest.mark.parametrize(
         "make",
@@ -132,8 +138,11 @@ class TestCanonicalKey:
             lambda: gen_preferential_attachment(30, 0.7, RngStream(4, 2)),
             lambda: Topology(300, external_edges(300, 4000, 5), "external"),
             lambda: Topology(2, np.array([[1, 0], [0, 1]]), "external"),
+            lambda: Topology(1 << 16, edges_with_last_bank(1 << 16), "external"),
+            lambda: Topology(70_000, edges_with_last_bank(70_000), "external"),
         ],
-        ids=["homogeneous", "heterogeneous", "reciprocal", "external", "two-bank"],
+        ids=["homogeneous", "heterogeneous", "reciprocal", "external", "two-bank",
+             "radix-limit", "key-sort"],
     )
     def test_shuffled_edges_match_lexsort(self, make):
         top = make()
