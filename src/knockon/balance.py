@@ -171,8 +171,7 @@ def compute_weights(
         order = np.argsort(debtor.astype(np.uint16), kind="stable")
     else:
         order = np.argsort(debtor * n + creditor)
-    counts = np.bincount(debtor, minlength=n)
-    debtor_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    debtor_ptr = np.concatenate(([0], np.cumsum(stats.in_degree))).astype(np.int64)
 
     return WeightMatrix(
         n_banks=n,

@@ -160,17 +160,20 @@ def propagate_grid(
         owed = weights.borrowings[bank]
         outgoing = pick(at_default - worth[hit], owed)
         # One entry per (defaulter, creditor) pair, defaulters in hit order.
-        size = ptr[bank + 1] - ptr[bank]
+        start = ptr[bank]
+        size = ptr[bank + 1] - start
         which = np.repeat(np.arange(hit.size), size)
         edge = np.arange(which.size)
-        edge += (ptr[bank] - np.cumsum(size) + size)[which]
+        edge += (start - np.cumsum(size) + size)[which]
         target = weights.debtor_creditors[edge]
-        target += (row * n)[which]
-        live = ~defaulted[target]
+        target += (hit - bank)[which]
+        live = np.flatnonzero(~defaulted[target])
         which, edge, target = which[live], edge[live], target[live]
         shares = weights.debtor_amounts[edge] / owed[which] * outgoing[which]
         np.add.at(distress, target, shares)
-        end = (row[which[-1]] + 1) * n if which.size else 0
+        # Every live target lies in its defaulter's row, the last one in the
+        # last row that received distress.
+        end = (target[-1] // n + 1) * n if target.size else 0
         if log is not None:
             bounds = np.searchsorted(which, np.arange(hit.size + 1)).tolist()
             sent = [shares[lo:hi].sum() for lo, hi in zip(bounds, bounds[1:])]

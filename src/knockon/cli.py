@@ -24,6 +24,7 @@ import tempfile
 from contextlib import nullcontext, suppress
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -344,7 +345,10 @@ def cmd_sweep(
         print(f"wrote {out / name}")
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args leaves
+    it unchanged, so every main() call can reuse it."""
     parser = argparse.ArgumentParser(
         prog="knockon",
         description="Insolvency-contagion simulator for interbank credit networks",

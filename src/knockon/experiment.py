@@ -13,12 +13,12 @@ count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
+from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -45,6 +45,10 @@ RAW_CSV_HEADER = "R,stream_index,N_d"
 
 #: The layers of one replication, in the order their seconds are kept.
 LAYERS = ("topology", "weights", "sheets", "cascade")
+
+#: The most replications in one pool chunk of a traced sweep: a traced
+#: replication's events can take megabytes until the sink has taken them.
+TRACE_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -154,10 +158,9 @@ class SweepResult:
 
     def raw_samples_csv(self) -> str:
         lines = [RAW_CSV_HEADER]
-        for row, ratio in zip(self.samples, self.config.capital_ratio_grid):
-            lines.extend(
-                f"{ratio!r},{k},{int(nd)}" for k, nd in enumerate(row)
-            )
+        for row, ratio in zip(self.samples.tolist(), self.config.capital_ratio_grid):
+            prefix = f"{ratio!r},"
+            lines.extend(f"{prefix}{k},{nd}" for k, nd in enumerate(row))
         return "\n".join(lines) + "\n"
 
 
@@ -278,6 +281,23 @@ def _load_external(cfg: ScenarioConfig) -> Topology | None:
     return topology
 
 
+def _run_chunk(replicate: Callable, start: int, stop: int) -> list:
+    return [replicate(k) for k in range(start, stop)]
+
+
+def _windowed(pool, replicate: Callable, reps: int, chunk: int, window: int) -> Iterator:
+    """Each replication's outcome in stream order, from chunks of ``chunk``
+    consecutive indices run on ``pool``, with at most ``window`` chunks
+    submitted and not yet taken."""
+    pending = deque()
+    for start in range(0, reps, chunk):
+        pending.append(pool.submit(_run_chunk, replicate, start, min(start + chunk, reps)))
+        if len(pending) == window:
+            yield from pending.popleft().result()
+    while pending:
+        yield from pending.popleft().result()
+
+
 def sweep(
     cfg: ScenarioConfig,
     workers: int = 1,
@@ -289,9 +309,12 @@ def sweep(
     over the stream indices and its results are taken in stream order. With
     one process the builtin ``map`` runs each replication only after the
     previous one's counts and trace events are taken, so at most one
-    replication's events are held at a time. With more, a process pool maps
-    chunks of about ``replications / (4 x workers)`` consecutive indices,
-    with at most one process per chunk.
+    replication's events are held at a time. With more, a process pool runs
+    chunks of about ``replications / (4 x workers)`` consecutive indices
+    (at most :data:`TRACE_CHUNK` when tracing), with at most one process
+    per chunk and at most two chunks per process submitted and not yet
+    taken, so a slow ``trace_sink`` holds the workers back instead of
+    piling finished chunks up in this process.
 
     Args:
         cfg: the scenario; ``cfg.validate()`` is called first.
@@ -319,15 +342,23 @@ def sweep(
     replicate = partial(_replicate_grid, cfg, external, collect_results=trace_sink is not None)
 
     chunk = max(1, math.ceil(reps / (workers * 4)))
+    if trace_sink is not None:
+        chunk = min(chunk, TRACE_CHUNK)
     # A forking pool starts all its processes at once: no more than chunks.
     processes = min(workers, math.ceil(reps / chunk))
-    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
+    pool = None
+    if processes > 1:
+        # Imported here: the pool module loads multiprocessing, which a
+        # one-worker sweep never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=processes)
     k = 0
     try:
         if pool is None:
             outcomes = map(replicate, range(reps))
         else:
-            outcomes = pool.map(replicate, range(reps), chunksize=chunk)
+            outcomes = _windowed(pool, replicate, reps, chunk, 2 * processes)
         for k in range(reps):
             samples[:, k], densities[k], secs, results = next(outcomes)
             seconds += secs
@@ -341,7 +372,7 @@ def sweep(
                         "distress": event.distress,
                         "transmitted": event.transmitted,
                     })
-    except BrokenProcessPool:
+    except BrokenExecutor:  # BrokenProcessPool's base, loaded without the pool
         # A chunk's results arrive together, so k is its first index.
         raise ReplicationError(k, "worker process died") from None
     finally:

@@ -20,7 +20,9 @@ from knockon import (
     write_edge_list,
 )
 from knockon import __version__
-from knockon.cli import _SCHEMA, MAX_RANGE_VALUES, _parse_grid, emit_config, main, parse_config
+from knockon.cli import (
+    _SCHEMA, MAX_RANGE_VALUES, _build_parser, _parse_grid, emit_config, main, parse_config
+)
 from knockon.netgen import GENERATOR_VERSION, MAX_BANKS
 
 from conftest import time_limit
@@ -634,3 +636,26 @@ class TestSweepCommand:
         main(["sweep", "--config", str(cfg_path), "--out", str(d1)])
         main(["sweep", "--config", str(cfg_path), "--out", str(d2), "--workers", "2"])
         assert (d1 / "sweep.csv").read_bytes() == (d2 / "sweep.csv").read_bytes()
+
+
+def test_parser_is_reused_across_commands(tmp_path, capsys):
+    # One parser serves every main() call in a process, so a call that fails
+    # to parse must leave it fit for the calls after it.
+    assert _build_parser() is _build_parser()
+    sweep_cfg = write_cfg(tmp_path, SWEEP_CFG, "sweep.cfg")
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(first), "--raw-samples"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--config", str(sweep_cfg), "--out", str(tmp_path / "x"), "--bogus"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+    edges = tmp_path / "net.edges"
+    assert main(["generate", "--config", str(write_cfg(tmp_path, MINIMAL)), "--out", str(edges)]) == 0
+    expected = tmp_path / "expected.edges"
+    write_edge_list(gen_erdos_renyi(500, 0.005, RngStream(42, 0).generator()), expected)
+    assert edges.read_bytes() == expected.read_bytes()
+    assert f"wrote {edges}" in capsys.readouterr().out
+    assert main(["sweep", "--config", str(sweep_cfg), "--out", str(second), "--raw-samples"]) == 0
+    for name in ("sweep.csv", "samples.csv"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from concurrent.futures import Executor, Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from knockon import (
     sweep,
     write_edge_list,
 )
+import knockon
 from knockon import experiment
 from knockon.experiment import RAW_CSV_HEADER, SWEEP_CSV_HEADER, _replicate_grid
 from reference_impl import ref_replicate_grid
@@ -374,7 +379,7 @@ class TestSweep:
         def no_pool(*args, **kwargs):
             raise AssertionError("workers=1 must not start a process pool")
 
-        monkeypatch.setattr("knockon.experiment.ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
         events = []
         result = sweep(small_config(replications=10), trace_sink=events.append)
         assert result.samples.shape == (3, 10)
@@ -398,7 +403,7 @@ class TestSweep:
             def shutdown(self, cancel_futures=False):
                 pass
 
-        monkeypatch.setattr("knockon.experiment.ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
         cfg = small_config(replications=10)
         serial = sweep(cfg)
         # Ten replications make ten one-replication chunks at 64 or 3 workers.
@@ -410,6 +415,54 @@ class TestSweep:
         # A single chunk runs in this process.
         sweep(small_config(replications=1), workers=64)
         assert sizes == [10, 3]
+
+    def test_pool_holds_a_bounded_window_of_chunks(self, monkeypatch):
+        # A slow trace sink must not let every chunk finish and wait here:
+        # at most two chunks per process are submitted and not yet taken.
+        submitted = []
+
+        class InlinePool(Executor):
+            def __init__(self, max_workers):
+                assert max_workers == 2
+
+            def submit(self, fn, replicate, start, stop):
+                submitted.append((start, stop))
+                future = Future()
+                future.set_result(fn(replicate, start, stop))
+                return future
+
+            def shutdown(self, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InlinePool)
+        cfg = small_config(replications=40, capital_ratio_grid=(0.02,))
+        serial = []
+        sweep(cfg, trace_sink=serial.append)
+        pooled = []
+
+        def sink(event):
+            taken = event["stream_index"] // experiment.TRACE_CHUNK + 1
+            assert len(submitted) <= taken + 2 * 2
+            pooled.append(event)
+
+        sweep(cfg, workers=2, trace_sink=sink)
+        assert pooled == serial
+        assert {stop - start for start, stop in submitted} == {experiment.TRACE_CHUNK}
+        assert [start for start, _ in submitted] == list(range(0, 40, experiment.TRACE_CHUNK))
+
+    def test_import_loads_no_process_pool(self):
+        # The pool module pulls in multiprocessing; only workers > 1 needs it.
+        src = Path(knockon.__file__).resolve().parents[1]
+        code = (
+            "import sys, knockon; "
+            "print([m for m in ('multiprocessing', 'concurrent.futures.process') "
+            "if m in sys.modules])"
+        )
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_paired_counts_non_increasing(self):
         cfg = small_config(replications=60)
